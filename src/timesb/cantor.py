@@ -9,6 +9,16 @@ The headline computations: the exact sup-distance from [0,1] to the set (its
 non-density radius), enumeration of all members over given denominators, and
 a finiteness certificate for members whose denominators factor over a fixed
 prime set.
+
+The certificate rests on the orbit lemma: for d over the prime set S, split
+as d = d0 * d1 with d1 the part under the per-prime caps, the orbit of a
+reduced a/d under x -> b*x mod 1 is a union of full 1/d0-cosets.  Once 1/d0
+is shorter than the longest digit-free interval, some orbit point lies
+strictly inside that interval, so a/d is no member.  Applied globally this
+gives the bound D; applied to each S-smooth d <= D it leaves only the few
+denominators whose coset lattice is coarse enough to miss the interval, and
+only those are walked.  A lattice spacing exactly equal to the interval
+length is walked too, so the boundary stays conservative.
 """
 
 from __future__ import annotations
@@ -22,8 +32,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import PreconditionError
+from .numtheory import Factorization
 from .orbit import density_bound
-from .orders import OrderProfile
+from .orders import OrderProfile, split_denominator
 from .rational import frac_str
 from .sieve import members_up_to
 
@@ -76,6 +87,25 @@ class DigitSet:
     def epsilon_exact(self) -> Fraction:
         return sup_distance(self)
 
+    @cached_property
+    def _widest_gap(self) -> tuple[Fraction, Fraction]:
+        """Left edge and length of the first longest gap between adjacent
+        first-level digit cylinders; length 0 when no two cylinders are apart.
+
+        farthest_point and longest_missing_interval both start from this one
+        scan; deeper gaps are 1/base-scaled copies and never win.
+        """
+        b = self.base
+        hi_digit = self.digits[-1]
+        span = Fraction(hi_digit - self.digits[0], (b - 1) * b)
+        best_edge, best_len = Fraction(0), Fraction(0)
+        for c, c_next in zip(self.digits, self.digits[1:]):
+            gap = Fraction(c_next - c, b) - span
+            if gap > best_len:
+                best_edge = Fraction(c, b) + Fraction(hi_digit, (b - 1) * b)
+                best_len = gap
+        return best_edge, best_len
+
     @property
     def min_value(self) -> Fraction:
         return Fraction(self.digits[0], self.base - 1)
@@ -95,21 +125,13 @@ def farthest_point(ds: DigitSet) -> tuple[Fraction, Fraction]:
     midpoint of each first-level gap between consecutive allowed digits; gaps
     at deeper levels are scaled-down copies and never win.
     """
-    b = ds.base
-    lo_digit, hi_digit = ds.digits[0], ds.digits[-1]
     best_point, best_dist = Fraction(0), ds.min_value
     right = 1 - ds.max_value
     if right > best_dist:
         best_point, best_dist = Fraction(1), right
-    span = Fraction(hi_digit - lo_digit, (b - 1) * b)
-    for c, c_next in zip(ds.digits, ds.digits[1:]):
-        gap = Fraction(c_next - c, b) - span
-        if gap <= 0:
-            continue
-        half = gap / 2
-        if half > best_dist:
-            left_edge = Fraction(c, b) + Fraction(hi_digit, (b - 1) * b)
-            best_point, best_dist = left_edge + half, half
+    left_edge, gap = ds._widest_gap
+    if gap / 2 > best_dist:
+        best_point, best_dist = left_edge + gap / 2, gap / 2
     return best_point, best_dist
 
 
@@ -131,19 +153,14 @@ def longest_missing_interval(ds: DigitSet) -> tuple[Fraction, Fraction]:
     segments enter at full length here but at full length as *distances* in
     farthest_point, so this radius can be smaller than sup_distance.
     """
-    b = ds.base
-    lo_digit, hi_digit = ds.digits[0], ds.digits[-1]
     best_len = ds.min_value
     best_mid = ds.min_value / 2
     top = 1 - ds.max_value
     if top > best_len:
         best_len, best_mid = top, (1 + ds.max_value) / 2
-    span = Fraction(hi_digit - lo_digit, (b - 1) * b)
-    for c, c_next in zip(ds.digits, ds.digits[1:]):
-        gap = Fraction(c_next - c, b) - span
-        if gap > best_len:
-            left_edge = Fraction(c, b) + Fraction(hi_digit, (b - 1) * b)
-            best_len, best_mid = gap, left_edge + gap / 2
+    left_edge, gap = ds._widest_gap
+    if gap > best_len:
+        best_len, best_mid = gap, left_edge + gap / 2
     return best_mid, best_len / 2
 
 
@@ -314,22 +331,29 @@ def enumerate_members(
                     yield Fraction(a, d), w
 
 
-def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:
-    """All products of powers of the given primes that are <= limit, sorted."""
+def _smooth_factorizations(primes: Iterable[int], limit: int) -> list[tuple[int, tuple]]:
+    """(n, prime-exponent pairs) for every product n <= limit of powers of
+    the given primes, sorted by n."""
     if limit < 1:
         return []
-    vals = [1]
+    vals: list[tuple[int, tuple]] = [(1, ())]
     for p in sorted(set(primes)):
         if p < 2:
             raise PreconditionError(f"invalid prime {p}")
         grown = []
-        for v in vals:
-            x = v * p
+        for v, factors in vals:
+            x, e = v * p, 1
             while x <= limit:
-                grown.append(x)
+                grown.append((x, factors + ((p, e),)))
                 x *= p
+                e += 1
         vals.extend(grown)
     return sorted(vals)
+
+
+def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:
+    """All products of powers of the given primes that are <= limit, sorted."""
+    return [n for n, _ in _smooth_factorizations(primes, limit)]
 
 
 @dataclass(frozen=True)
@@ -346,6 +370,13 @@ class SIntegerCertificate:
     members: tuple[tuple[Fraction, ExpansionInfo], ...]
     witness: Fraction
     witness_distance: Fraction
+    walked_denominators: tuple[int, ...]
+
+    @property
+    def denominators_excluded(self) -> int:
+        """S-smooth d <= max_denominator skipped by the per-denominator
+        lattice exclusion (not part of the JSON record)."""
+        return self.denominator_count - len(self.walked_denominators)
 
     @property
     def count_with_endpoints(self) -> int:
@@ -402,6 +433,9 @@ def enumerate_s_integers(
     accepted, but the enumeration bound is always computed from the sound
     radius so the member list stays complete: end segments only exclude
     denominators at their full length, not twice it.
+
+    Of the S-smooth d <= D only those with 1/d0 >= 2 * radius are walked
+    (see the module docstring); denominator_count still counts them all.
     """
     if profile.base != ds.base:
         raise PreconditionError(
@@ -422,18 +456,27 @@ def enumerate_s_integers(
         )
     bound = density_bound(profile, min(eps, radius))
     max_den = int(bound)
-    dens = smooth_denominators(profile.primes, max_den)
-    members = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
+    smooth = _smooth_factorizations(profile.primes, max_den)
+    # walk d only while 1/d0 >= gap, i.e. d0 * gap <= 1 in integers
+    gap = 2 * radius
+    walked = [
+        d
+        for d, factors in smooth
+        if split_denominator(profile, Factorization(d, factors)).d0 * gap.numerator
+        <= gap.denominator
+    ]
+    members = sorted(enumerate_members(ds, walked), key=lambda pair: pair[0])
     return SIntegerCertificate(
         digit_set=ds,
         profile=profile,
         epsilon=eps,
         bound=bound,
         max_denominator=max_den,
-        denominator_count=len(dens),
+        denominator_count=len(smooth),
         members=tuple(members),
         witness=witness,
         witness_distance=radius,
+        walked_denominators=tuple(walked),
     )
 
 

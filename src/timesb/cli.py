@@ -379,6 +379,27 @@ def _verify_cosets(rng: random.Random, trials: int) -> None:
             raise InvariantError(f"coset enumeration mismatch at base {b} d {d}")
 
 
+def _verify_lattice_exclusion(rng: random.Random, trials: int) -> None:
+    # the certificate walks only denominators whose 1/d0 lattice can miss the
+    # digit-free gap; the oracle walks every S-smooth d up to a small cap
+    cap = 5000
+    pool = (2, 3, 5, 7, 11, 13)
+    for _ in range(trials):
+        b = rng.randrange(2, 11)
+        digits = tuple(sorted(rng.sample(range(b), rng.randrange(1, b))))
+        ds = DigitSet(b, digits)
+        usable = [p for p in pool if b % p != 0]
+        S = sorted(rng.sample(usable, rng.randrange(1, min(3, len(usable)) + 1)))
+        cert = enumerate_s_integers(ds, build_profile(b, S))
+        dens = smooth_denominators(S, min(cert.max_denominator, cap))
+        want = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
+        got = [pair for pair in cert.members if pair[0].denominator <= cap]
+        if got != want:
+            raise InvariantError(
+                f"lattice exclusion lost members: base {b} digits {digits} primes {S}"
+            )
+
+
 def _verify_count_invariance(rng: random.Random, trials: int) -> None:
     for _ in range(trials):
         b = rng.randrange(2, 6)
@@ -408,6 +429,7 @@ _VERIFY_CHECKS = (
     ("orbit_decomposition_identity", _verify_decompose),
     ("expansion_reconstruction", _verify_reconstruction),
     ("coset_enumeration_vs_scan", _verify_cosets),
+    ("lattice_exclusion_vs_walk", _verify_lattice_exclusion),
     ("count_parallel_invariance", _verify_count_invariance),
     ("stabilization_growth_thresholds", _verify_growth),
 )

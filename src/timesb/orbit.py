@@ -21,7 +21,6 @@ from .rational import frac_str
 
 
 def _require_unit_interval(x: Fraction, allow_one: bool = False) -> None:
-    top = 1 if allow_one else None
     if x < 0 or x > 1 or (x == 1 and not allow_one):
         rng = "[0,1]" if allow_one else "[0,1)"
         raise PreconditionError(f"{frac_str(x)} outside {rng}")
@@ -125,8 +124,9 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
         raise PreconditionError(
             f"denominator {d} shares a factor with base {profile.base}"
         )
-    split = split_denominator(profile, factorize(d)) if d > 1 else DenominatorSplit(1, 1, 1)
-    exps = {p: e for p, e in factorize(d)}
+    fact = factorize(d)
+    split = split_denominator(profile, fact)
+    exps = dict(fact)
     order = order_from_profile(profile, exps)
 
     a1_info = orbit(profile.base, x)

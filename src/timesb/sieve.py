@@ -164,8 +164,6 @@ def _descend_chunk(
         return empty, empty
 
     num, den = _simplest_batch(level, L, base)
-    keep = den <= T  # all kept by construction, but cheap to re-assert
-    num, den = num[keep], den[keep]
 
     boundary_mask = _strip_base_primes(den, base) == 1
     boundary = np.stack([num[boundary_mask], den[boundary_mask]], axis=1)

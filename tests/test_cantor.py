@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from timesb.cantor import (
 from timesb.errors import PreconditionError
 from timesb.numtheory import mult_order_bruteforce, vp
 from timesb.orbit import coprime_part
-from timesb.orders import build_profile
+from timesb.orders import build_profile, split_denominator
 
 F = Fraction
 
@@ -315,6 +316,56 @@ def test_certificate_claimed_epsilon_keeps_sound_bound():
     assert cert.epsilon == F(8, 9)
     assert cert.bound == F(81, 8)
     assert any(x == F(1, 9) for x, _ in cert.members)
+
+
+def test_lattice_exclusion_matches_full_walk():
+    # seeded grid: base 2-10, a digit subset that is not full, S of 1-3 primes
+    # not dividing the base; the certificate walks only the kept denominators
+    rng = random.Random(0x1A77)
+    pool = (2, 3, 5, 7, 11, 13)
+    for _ in range(40):
+        b = rng.randrange(2, 11)
+        ds = DigitSet(b, tuple(rng.sample(range(b), rng.randrange(1, b))))
+        usable = [p for p in pool if b % p]
+        S = sorted(rng.sample(usable, rng.randrange(1, min(3, len(usable)) + 1)))
+        cert = enumerate_s_integers(ds, build_profile(b, S))
+        dens = smooth_denominators(S, cert.max_denominator)
+        full = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
+        assert list(cert.members) == full, (b, ds.digits, S)
+        assert cert.denominator_count == len(dens)
+        excluded = set(dens) - set(cert.walked_denominators)
+        assert len(excluded) == cert.denominators_excluded
+        assert not any(x.denominator in excluded for x, _ in full)
+
+
+@pytest.mark.parametrize(
+    "base, digits, primes, total, walked",
+    [
+        (3, (0, 2), (2, 7, 11, 13), 343, 60),
+        (5, (0, 2, 4), (2, 3, 11, 17), 464, 100),
+        (10, (1, 3, 5, 7, 9), (3, 7, 11, 13), 223, 64),
+    ],
+)
+def test_lattice_exclusion_counts(base, digits, primes, total, walked):
+    cert = enumerate_s_integers(DigitSet(base, digits), build_profile(base, primes))
+    assert cert.denominator_count == total
+    assert len(cert.walked_denominators) == walked
+    assert cert.denominators_excluded == total - walked
+    assert "denominators_excluded" not in cert.to_json_dict()
+
+
+def test_lattice_exclusion_keeps_boundary():
+    # gap 1/9: denominators with 1/d0 equal to the gap are still walked
+    prof = build_profile(10, (3, 7, 11, 13))
+    cert = enumerate_s_integers(DigitSet(10, (1, 3, 5, 7, 9)), prof)
+    assert 2 * cert.witness_distance == F(1, 9)
+    boundary = [
+        d
+        for d in smooth_denominators(prof.primes, cert.max_denominator)
+        if split_denominator(prof, d).d0 == 9
+    ]
+    assert boundary == [243, 1701, 2673, 3159, 18711, 22113, 34749, 243243]
+    assert set(boundary) <= set(cert.walked_denominators)
 
 
 def test_s_integer_certificate_rejects():
