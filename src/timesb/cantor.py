@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import PreconditionError
-from .numtheory import Factorization
+from .numtheory import Factorization, factorize
 from .orbit import density_bound
 from .orders import OrderProfile, split_denominator
 from .rational import frac_str
@@ -480,22 +480,11 @@ def enumerate_s_integers(
     )
 
 
-def _count_coprime_upto(limit: int, base: int) -> int:
-    """|{k : 1 <= k <= limit, gcd(k, base) = 1}| by inclusion-exclusion."""
-    if limit <= 0:
-        return 0
-    primes = []
-    b = base
-    p = 2
-    while p * p <= b:
-        if b % p == 0:
-            primes.append(p)
-            while b % p == 0:
-                b //= p
-        p += 1
-    if b > 1:
-        primes.append(b)
-    total = 0
+def _count_coprime_upto(limit: np.ndarray, base: int) -> np.ndarray:
+    """|{k : 1 <= k <= limit, gcd(k, base) = 1}| elementwise, by
+    inclusion-exclusion over the primes of the base."""
+    primes = factorize(base).primes
+    total = np.zeros_like(limit)
     for bits in range(1 << len(primes)):
         d = 1
         sign = 1
@@ -507,6 +496,13 @@ def _count_coprime_upto(limit: int, base: int) -> int:
     return total
 
 
+def _member_pairs(ds: DigitSet, T: int, jobs: int) -> np.ndarray:
+    """The sieve's (num, den) rows of every member with den <= T."""
+    return members_up_to(
+        ds.base, ds.digits, T, lambda num, den: member(ds, Fraction(num, den)), jobs=jobs
+    )
+
+
 def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]:
     """All members with reduced denominator <= T, ascending.
 
@@ -514,10 +510,7 @@ def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]
     full digit set is rejected there (everything is a member, enumerating
     ~0.3*T^2 fractions is pointless).
     """
-    pairs = members_up_to(
-        ds.base, ds.digits, T, lambda num, den: member(ds, Fraction(num, den)), jobs=jobs
-    )
-    return sorted(Fraction(int(n), int(d)) for n, d in pairs)
+    return sorted(Fraction(int(n), int(d)) for n, d in _member_pairs(ds, T, jobs))
 
 
 @dataclass(frozen=True)
@@ -602,30 +595,23 @@ def count_report(
         raise PreconditionError(f"max denominator must be >= 1, got {T}")
     if ds.is_full:
         return _full_set_count(ds, T, coprime_to_b_only)
-    members = reduced_members_up_to(ds, T, jobs=jobs)
+    den = _member_pairs(ds, T, jobs)[:, 1]
     if coprime_to_b_only:
-        members = [x for x in members if gcd(x.denominator, ds.base) == 1]
-    reduced_with = len(members)
-    endpoints = sum(1 for x in members if x.denominator == 1)
-    all_with = 0
-    all_endpoint_reps = 0
-    for x in members:
-        q = x.denominator
-        if coprime_to_b_only:
-            reps = _count_coprime_upto(T // q, ds.base)
-        else:
-            reps = T // q
-        all_with += reps
-        if q == 1:
-            all_endpoint_reps += reps
+        den = den[np.gcd(den, ds.base) == 1]
+        reps = _count_coprime_upto(T // den, ds.base)
+    else:
+        reps = T // den
+    endpoint = den == 1
+    reduced_with = int(den.size)
+    all_with = int(reps.sum())
     return CountReport(
         digit_set=ds,
         max_denominator=T,
         coprime_to_b_only=coprime_to_b_only,
         reduced_with=reduced_with,
-        reduced_without=reduced_with - endpoints,
+        reduced_without=reduced_with - int(endpoint.sum()),
         all_with=all_with,
-        all_without=all_with - all_endpoint_reps,
+        all_without=all_with - int(reps[endpoint].sum()),
     )
 
 

@@ -400,6 +400,22 @@ def _verify_lattice_exclusion(rng: random.Random, trials: int) -> None:
             )
 
 
+def _verify_sieve(rng: random.Random, trials: int) -> None:
+    # the sieve's resumed descents, pruning and leaf walks against a plain
+    # walk of every denominator up to T
+    for _ in range(trials):
+        b = rng.randrange(2, 11)
+        digits = tuple(sorted(rng.sample(range(b), rng.randrange(1, b))))
+        ds = DigitSet(b, digits)
+        T = rng.randrange(1, 301)
+        got = reduced_members_up_to(ds, T)
+        want = sorted(x for x, _ in enumerate_members(ds, range(1, T + 1)))
+        if got != want:
+            raise InvariantError(
+                f"sieve differs from the coset walk: base {b} digits {digits} T {T}"
+            )
+
+
 def _verify_count_invariance(rng: random.Random, trials: int) -> None:
     for _ in range(trials):
         b = rng.randrange(2, 6)
@@ -430,6 +446,7 @@ _VERIFY_CHECKS = (
     ("expansion_reconstruction", _verify_reconstruction),
     ("coset_enumeration_vs_scan", _verify_cosets),
     ("lattice_exclusion_vs_walk", _verify_lattice_exclusion),
+    ("sieve_vs_coset_walk", _verify_sieve),
     ("count_parallel_invariance", _verify_count_invariance),
     ("stabilization_growth_thresholds", _verify_growth),
 )

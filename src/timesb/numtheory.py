@@ -1,7 +1,8 @@
 """Exact integer arithmetic: factorization, valuations, multiplicative orders.
 
 Everything here works on plain Python integers and is deterministic. The
-factorizer does trial division by sieved primes up to 10^6, then a
+factorizer does trial division by sieved primes up to 10^6 (the table grows
+only as far as the cofactor's square root asks), then a
 deterministic Miller-Rabin (base set valid below 3.3e24) with Brent's rho for
 composites that survive trial division.
 """
@@ -18,19 +19,26 @@ _TRIAL_LIMIT = 10**6
 # Witnesses making Miller-Rabin deterministic for n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_small_primes_cache: list[int] | None = None
+_prime_table: list[int] = []  # every prime <= _prime_table_limit
+_prime_table_limit = 1
 
 
-def _small_primes() -> list[int]:
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, isqrt(_TRIAL_LIMIT) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _small_primes_cache = [i for i, f in enumerate(sieve) if f]
-    return _small_primes_cache
+def _grow_prime_table() -> list[int]:
+    """Double the cached prime table (64 at first, 10^6 at most); return it.
+
+    Doubling keeps the sieving done for any cofactor within twice one sieve
+    of the largest limit that cofactor needed.
+    """
+    global _prime_table, _prime_table_limit
+    top = min(max(64, 2 * _prime_table_limit), _TRIAL_LIMIT)
+    sieve = bytearray([1]) * (top + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, isqrt(top) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    _prime_table = [i for i, f in enumerate(sieve) if f]
+    _prime_table_limit = top
+    return _prime_table
 
 
 def is_prime(n: int) -> bool:
@@ -140,7 +148,15 @@ def factorize(n: int) -> Factorization:
         raise PreconditionError(f"factorize requires n >= 1, got {n}")
     m = n
     found: list[tuple[int, int]] = []
-    for p in _small_primes():
+    primes = _prime_table
+    i = 0
+    while True:
+        if i == len(primes):
+            # grow the table only while the cofactor still needs it
+            if _prime_table_limit >= min(isqrt(m), _TRIAL_LIMIT):
+                break
+            primes = _grow_prime_table()
+        p = primes[i]
         if p * p > m:
             break
         if m % p == 0:
@@ -149,6 +165,7 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 e += 1
             found.append((p, e))
+        i += 1
     if m > 1:
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             # trial division ruled out divisors up to min(sqrt(m), 10^6)

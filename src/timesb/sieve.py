@@ -2,18 +2,45 @@
 
 Scanning all reduced fractions with denominator up to T touches ~0.3*T^2
 numbers, hopeless at T = 10^6. Members of a digit-restricted set are rare,
-so the engine works from the digit side instead: the allowed length-L digit
-prefixes describe closed intervals of width base^-L, arranged in a tree. A
-branch dies as soon as its interval contains no fraction with denominator
-<= T, detected via the simplest fraction of the interval (Stern-Brocot
-descent, vectorized over whole tree levels). Once base^L > T^2 an interval
-contains at most one fraction with denominator <= T (two distinct ones would
-differ by at least 1/T^2, more than the width), so each surviving leaf yields
-exactly one candidate, and a digit walk beyond depth L settles membership.
+so the engine works from the digit side instead: the allowed length-d digit
+prefixes P describe closed intervals [P/S, (P+1)/S], S = base^d, arranged in
+a tree. A branch dies as soon as its interval contains no fraction with
+denominator <= T, detected via the simplest fraction of the interval. Once
+base^L > T^2 an interval contains at most one fraction with denominator <= T
+(two distinct ones would differ by at least 1/T^2, more than the width), so
+each surviving leaf yields exactly one candidate, and a digit walk beyond
+depth L settles membership.
 
-Everything fits in int64: all intermediates are bounded by base^L <= base*T^2
-(enforced), and the one comparison that would overflow (a*s <= r) is done as
-a division instead.
+The simplest fraction comes from a continued-fraction descent on the
+homogeneous endpoint vectors U = (u1, u2) and V = (v1, v2), which start as
+(P, S) and (P+1, S). While the interval between u1/u2 and v1/v2 holds no
+integer, both endpoints share the floor a, and one step maps each vector by
+(x1, x2) -> (x2, x1 - a*x2), i.e. x -> 1/(x - a), while the convergent matrix
+[[h1, h0], [k1, k0]] takes a on the right. Once the interval holds an
+integer, the smallest one, a, gives the simplest fraction
+(a*h1 + h0)/(a*k1 + k0). The step is the same linear map on both vectors, so
+they are kept in prefix order rather than sorted and no parity is tracked.
+
+Resumption lemma: a child interval lies inside its parent's, so at every step
+the parent took, the child's transformed interval sits inside an interval
+holding no integer and has the same floor: the child takes exactly the
+parent's partial quotients up to the step where the parent stopped. Its
+endpoints are (b-c)*left + c*right and (b-c-1)*left + (c+1)*right for digit
+c, so by linearity its state at that step is U' = b*U + c*(V - U),
+V' = U' + (V - U), with the parent's convergent matrix. Each level therefore
+resumes from its parent's final state, usually for one to three more steps,
+and the leaf level's simplest fractions are the last pruning pass's. A
+descent is also cut short once the next k1 + k0 exceeds T: every later
+simplest denominator is at least that.
+
+Everything fits in int64. For a node of scale S the original endpoint is
+(P, S) = [[h1, h0], [k1, k0]] * U with nonnegative entries and determinant
++-1, so U = +-(k0*P - h0*S, h1*S - k1*P), whose entries are S*|k*x - h| <= S
+for the convergents h/k of x = P/S in [0, 1] (the starting 1/0 and 0/1
+included); the same holds for V. A child's entries are combinations with
+coefficients summing to b, so at most b*S, its own scale. All entries are
+thus at most base^L < 2^62 (enforced), and the sums a step forms (such as
+a*k1 + k0 for a not-yet-finished descent, at most 2*S) stay below 2^63.
 
 Candidates sitting on a leaf boundary (denominator dividing base^L) can have
 a second expansion leaving the tree, so they are returned to the caller for
@@ -32,7 +59,12 @@ import numpy as np
 from .errors import InvariantError, PreconditionError
 
 _PRESTEPS = 8  # vectorized digit steps before falling back to Python walks
-_CHUNK_PREFIXES = 8  # frontier prefixes per worker task
+_CHUNK_NODES = 8  # frontier nodes per worker task
+_MAX_STEPS = 200  # a denominator below 2^62 has fewer than 92 partial quotients
+
+# descent state of the root interval [0, 1]: rows u1, u2, v1, v2, h1, h0, k1, k0
+_ROOT = np.array([[0], [1], [1], [1], [1], [0], [0], [1]], dtype=np.int64)
+_ROOT.setflags(write=False)
 
 
 def limit_depth(base: int, T: int) -> int:
@@ -45,50 +77,63 @@ def limit_depth(base: int, T: int) -> int:
     return L
 
 
-def _simplest_batch(pref: np.ndarray, depth: int, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simplest fraction in each closed interval [P/base^depth, (P+1)/base^depth].
+def _children(state: np.ndarray, digits: Sequence[int], base: int) -> np.ndarray:
+    """Descent states of every digit child of every column, digit-major.
 
-    Continued-fraction descent, vectorized with an active-index compaction;
-    terminates when the transformed interval contains an integer.
+    The child for digit c has endpoints (b-c)*left + c*right and
+    (b-c-1)*left + (c+1)*right; the descent map is linear, so its state at
+    the parent's last step is the same combination of the parent's state.
     """
-    n = pref.shape[0]
-    scale = base**depth
-    p = pref.astype(np.int64, copy=True)
-    q = np.full(n, scale, dtype=np.int64)
-    r = p + 1
-    s = np.full(n, scale, dtype=np.int64)
-    h1 = np.ones(n, dtype=np.int64)
-    h0 = np.zeros(n, dtype=np.int64)
-    k1 = np.zeros(n, dtype=np.int64)
-    k0 = np.ones(n, dtype=np.int64)
-    out_num = np.empty(n, dtype=np.int64)
-    out_den = np.empty(n, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    guard = 0
-    while idx.size:
-        guard += 1
-        if guard > 200:
-            raise InvariantError("continued fraction descent failed to terminate")
-        ncl = (p + q - 1) // q
-        # the done test ncl*s <= r, written division-first to stay in int64
-        lim = np.where(ncl > 0, r // np.maximum(ncl, 1), s)
-        done = s <= lim
-        if done.any():
-            sel = idx[done]
-            a = ncl[done]
-            out_num[sel] = a * h1[done] + h0[done]
-            out_den[sel] = a * k1[done] + k0[done]
-        cont = ~done
-        if not cont.any():
+    u1, u2, v1, v2 = state[:4]
+    w1, w2 = v1 - u1, v2 - u2
+    out = np.empty((8, len(digits), state.shape[1]), dtype=np.int64)
+    for j, c in enumerate(digits):
+        kid = out[:, j]
+        kid[0] = base * u1 + c * w1
+        kid[1] = base * u2 + c * w2
+        kid[2] = kid[0] + w1
+        kid[3] = kid[1] + w2
+        kid[4:] = state[4:]
+    return out.reshape(8, -1)
+
+
+def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resume the continued-fraction descent of every column of state.
+
+    Returns (num, den, final) for the columns whose simplest fraction has
+    den <= T, in no fixed order: num/den is that fraction and final the
+    column's state at the step where its descent stopped, which is where its
+    children resume. Columns are dropped as soon as den must exceed T.
+    """
+    parts = []
+    cur = state
+    for _ in range(_MAX_STEPS):
+        u1, u2, v1, v2, h1, h0, k1, k0 = cur
+        fu = u1 // u2
+        fv = v1 // v2
+        # a = smallest integer >= the lower endpoint; the interval holds it
+        # iff it is <= the upper endpoint's floor
+        a = np.minimum(fu + (fu * u2 != u1), fv + (fv * v2 != v1))
+        done = np.maximum(fu, fv) >= a
+        # done: the simplest denominator; else a = floor + 1 and this is the
+        # next k1 + k0, a lower bound for every later simplest denominator
+        den = a * k1 + k0
+        live = den <= T
+        fin = np.flatnonzero(done & live)
+        parts.append((a[fin], cur[:, fin]))
+        go = np.flatnonzero(live & ~done)
+        if not go.size:
             break
-        pc, qc, rc, sc = p[cont], q[cont], r[cont], s[cont]
-        h1c, h0c, k1c, k0c = h1[cont], h0[cont], k1[cont], k0[cont]
-        a = pc // qc
-        p, q, r, s = sc, rc - a * sc, qc, pc - a * qc
-        h1, h0 = a * h1c + h0c, h1c
-        k1, k0 = a * k1c + k0c, k1c
-        idx = idx[cont]
-    return out_num, out_den
+        a = fu[go]
+        u1, u2, v1, v2, h1, h0, k1, k0 = cur[:, go]
+        cur = np.stack(
+            [u2, u1 - a * u2, v2, v1 - a * v2, a * h1 + h0, h1, a * k1 + k0, k1]
+        )
+    else:
+        raise InvariantError("continued fraction descent failed to terminate")
+    a = np.concatenate([pa for pa, _ in parts])
+    final = np.concatenate([ps for _, ps in parts], axis=1)
+    return a * final[4] + final[5], a * final[6] + final[7], final
 
 
 def _strip_base_primes(den: np.ndarray, base: int) -> np.ndarray:
@@ -143,27 +188,21 @@ def _descend_chunk(
     T: int,
     L: int,
     depth: int,
-    pref: np.ndarray,
+    state: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """From frontier prefixes at the given depth down to the leaves.
+    """From frontier states at the given depth down to the leaves.
 
     Returns (members, boundary): members are (num, den) pairs verified by the
     interior digit walk; boundary pairs have denominators dividing base^L and
     need the caller's exact membership check.
     """
-    dig = np.asarray(digits, dtype=np.int64)
-    level = pref.astype(np.int64, copy=True)
-    d = depth
-    while d < L and level.size:
-        level = (level[:, None] * base + dig[None, :]).ravel()
-        d += 1
-        _, dens = _simplest_batch(level, d, base)
-        level = level[dens <= T]
-    if not level.size:
+    # frontier states are final already, so this first pass takes no step
+    num, den, state = _descend(state, T)
+    for _ in range(depth, L):
+        num, den, state = _descend(_children(state, digits, base), T)
+    if not num.size:
         empty = np.empty((0, 2), dtype=np.int64)
         return empty, empty
-
-    num, den = _simplest_batch(level, L, base)
 
     boundary_mask = _strip_base_primes(den, base) == 1
     boundary = np.stack([num[boundary_mask], den[boundary_mask]], axis=1)
@@ -250,19 +289,16 @@ def members_up_to(
         )
 
     # frontier: grow until there is enough parallel grain or we hit the leaves
-    dig = np.asarray(digits, dtype=np.int64)
-    frontier = np.zeros(1, dtype=np.int64)
+    state = _ROOT
     depth = 0
     target = 1024
-    while depth < L and frontier.size and frontier.size * len(digits) <= target:
-        frontier = (frontier[:, None] * base + dig[None, :]).ravel()
+    while depth < L and state.shape[1] and state.shape[1] * len(digits) <= target:
+        _, _, state = _descend(_children(state, digits, base), T)
         depth += 1
-        _, dens = _simplest_batch(frontier, depth, base)
-        frontier = frontier[dens <= T]
 
     tasks = [
-        (base, digits, T, L, depth, frontier[i : i + _CHUNK_PREFIXES])
-        for i in range(0, frontier.shape[0], _CHUNK_PREFIXES)
+        (base, digits, T, L, depth, state[:, i : i + _CHUNK_NODES])
+        for i in range(0, state.shape[1], _CHUNK_NODES)
     ]
     if jobs == 1 or len(tasks) <= 1:
         results = [_run_chunk(t) for t in tasks]

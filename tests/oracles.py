@@ -50,6 +50,41 @@ def reduced_members_oracle(base: int, digits: tuple[int, ...], den: int) -> list
     ]
 
 
+def simplest_fraction(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> tuple[int, int]:
+    """(num, den) of the fraction with the smallest denominator in the closed
+    interval [lo_num/lo_den, hi_num/hi_den], 0 <= lo <= hi; among integers
+    the smallest.
+
+    Textbook recursion on the integer part, Python ints throughout: when
+    both endpoints lie strictly inside (a, a+1), the answer is a + 1/y for
+    the simplest y in [1/(hi - a), 1/(lo - a)].
+    """
+    a, rem = divmod(lo_num, lo_den)
+    if rem == 0:
+        return a, 1
+    if (a + 1) * hi_den <= hi_num:
+        return a + 1, 1
+    n, d = simplest_fraction(hi_den, hi_num - a * hi_den, lo_den, rem)
+    return a * n + d, n
+
+
+def factor_bruteforce(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1 by trial division by every k >= 2."""
+    out = []
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            e = 0
+            while n % k == 0:
+                n //= k
+                e += 1
+            out.append((k, e))
+        k += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def spf_sieve(limit: int) -> np.ndarray:
     """smallest prime factor for every n <= limit (spf[0] = spf[1] = 0)."""
     spf = np.zeros(limit + 1, dtype=np.int64)

@@ -188,7 +188,7 @@ def test_bounds_csv_and_summary(capsys):
 def test_verify_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "3")
     assert code == 0
-    assert len(out1.splitlines()) == 7
+    assert len(out1.splitlines()) == 8
     assert all(line.startswith("ok ") for line in out1.splitlines())
     code, out2, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "3")
     assert out1 == out2

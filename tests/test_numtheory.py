@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,8 @@ from timesb.numtheory import (
     unit_group_exponent,
     vp,
 )
+
+from oracles import factor_bruteforce
 
 
 def test_is_prime_small():
@@ -46,6 +52,44 @@ def test_factorize_examples():
     # semiprime beyond the trial division bound
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factorize_matches_bruteforce_small():
+    for n in range(1, 3000):
+        assert factorize(n).factors == factor_bruteforce(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3**11,
+        2**40,
+        999983,  # largest prime below 10^6
+        999983 * 1000033,  # >= 10^12, one factor just below 10^6
+        2 * 999983**2,
+        3 * 999979 * 999983,
+        1000000000039,  # prime >= 10^12
+        1000003**2,
+        2**5 * 3**4 * 999961,
+    ],
+)
+def test_factorize_matches_bruteforce(n):
+    assert factorize(n).factors == factor_bruteforce(n)
+
+
+def test_factorize_grows_prime_table_lazily():
+    # a/3^11 needs primes up to 3 only: the table stays at its first size
+    code = (
+        "from timesb import numtheory as nt; nt.factorize(3**11); "
+        "print(nt._prime_table_limit)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert int(out) == 64
 
 
 def test_factorize_rejects_nonpositive():

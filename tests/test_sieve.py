@@ -16,7 +16,9 @@ from timesb.cantor import (
     reduced_members_up_to,
 )
 from timesb.errors import PreconditionError
-from timesb.sieve import _simplest_batch, limit_depth, members_up_to
+from timesb.sieve import _ROOT, _children, _descend, limit_depth, members_up_to
+
+from oracles import simplest_fraction
 
 
 def naive_members(ds: DigitSet, T: int) -> list[Fraction]:
@@ -28,17 +30,99 @@ def naive_members(ds: DigitSet, T: int) -> list[Fraction]:
     )
 
 
+def resumed_simplest(P: int, depth: int, base: int) -> tuple[int, int]:
+    """Simplest fraction of [P/base^depth, (P+1)/base^depth], reached the way
+    the sieve reaches it: one resumed descent per digit of P from the root."""
+    state = _ROOT
+    scale = 1
+    for c in reversed([P // base**i % base for i in range(depth)]):
+        scale *= base
+        num, den, state = _descend(_children(state, (c,), base), scale)
+    return int(num[0]), int(den[0])
+
+
+def column_prefixes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, S) of each column: the convergent matrix times its left endpoint.
+
+    Every term is nonnegative and at most P or S, so nothing overflows."""
+    u1, u2, _, _, h1, h0, k1, k0 = state
+    return h1 * u1 + h0 * u2, k1 * u1 + k0 * u2
+
+
 def test_simplest_fraction_batch():
     # closed intervals [P/b^L, (P+1)/b^L] and their simplest fractions
-    pref = np.array([30, 2, 0, 99], dtype=np.int64)
-    num, den = _simplest_batch(pref[:1], 2, 10)  # [0.30, 0.31]
-    assert (num[0], den[0]) == (3, 10)
-    num, den = _simplest_batch(pref[1:2], 2, 3)  # [2/9, 3/9]
-    assert (num[0], den[0]) == (1, 3)
-    num, den = _simplest_batch(pref[2:3], 3, 2)  # [0, 1/8]
-    assert (num[0], den[0]) == (0, 1)
-    num, den = _simplest_batch(pref[3:4], 2, 10)  # [0.99, 1.00]
-    assert (num[0], den[0]) == (1, 1)
+    assert resumed_simplest(30, 2, 10) == (3, 10)  # [0.30, 0.31]
+    assert resumed_simplest(2, 2, 3) == (1, 3)  # [2/9, 3/9]
+    assert resumed_simplest(0, 3, 2) == (0, 1)  # [0, 1/8]
+    assert resumed_simplest(99, 2, 10) == (1, 1)  # [0.99, 1.00]
+
+
+def _int64_depth(base: int) -> int:
+    """Deepest level the sieve's int64 guard admits: base^L < 2^62."""
+    L = 0
+    while base ** (L + 1) < 2**62:
+        L += 1
+    return L
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_resumed_descent_matches_oracle_to_int64_guard(data):
+    # one random digit path down to base^L just below 2^62; at each level all
+    # children are descended from the parent's final state, unpruned and
+    # pruned at a random T, and every column is checked against the oracle
+    base = data.draw(st.integers(min_value=2, max_value=10))
+    L = _int64_depth(base)
+    path = data.draw(st.lists(st.integers(0, base - 1), min_size=L, max_size=L))
+    T = data.draw(st.integers(min_value=1, max_value=2**31))
+    state = _ROOT
+    P = 0
+    for depth, c in enumerate(path, start=1):
+        scale = base**depth
+        kids = _children(state, range(base), base)
+        want = {
+            P * base + j: simplest_fraction(P * base + j, scale, P * base + j + 1, scale)
+            for j in range(base)
+        }
+        num, den, final = _descend(kids, scale)
+        pref, sc = column_prefixes(final)
+        assert len(pref) == base and (sc == scale).all()
+        got = {int(q): (int(n), int(d)) for q, n, d in zip(pref, num, den)}
+        assert got == want
+        num, den, final = _descend(kids, T)
+        pref, _ = column_prefixes(final)
+        got = {int(q): (int(n), int(d)) for q, n, d in zip(pref, num, den)}
+        assert got == {q: nd for q, nd in want.items() if nd[1] <= T}
+        P = P * base + c
+        state = _descend(_children(state, (c,), base), scale)[2]
+        assert int(column_prefixes(state)[0][0]) == P
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_sieve_levels_match_oracle(data):
+    # the whole pruned tree, level by level: the survivors and their simplest
+    # fractions equal those of a Python-int walk that descends from scratch
+    base = data.draw(st.integers(min_value=2, max_value=10))
+    digits = tuple(
+        sorted(data.draw(st.sets(st.integers(0, base - 1), min_size=1, max_size=base - 1)))
+    )
+    T = data.draw(st.integers(min_value=1, max_value=60))
+    want_level = [0]
+    state = _ROOT
+    for depth in range(1, limit_depth(base, T) + 1):
+        scale = base**depth
+        want = {}
+        for P in (q * base + c for q in want_level for c in digits):
+            nd = simplest_fraction(P, scale, P + 1, scale)
+            if nd[1] <= T:
+                want[P] = nd
+        num, den, state = _descend(_children(state, digits, base), T)
+        pref, _ = column_prefixes(state)
+        got = {int(q): (int(n), int(d)) for q, n, d in zip(pref, num, den)}
+        assert len(got) == len(pref)
+        assert got == want
+        want_level = sorted(want)
 
 
 def test_limit_depth():
