@@ -84,6 +84,8 @@ def cmd_order(args) -> int:
             )
         if len(args.primes) != len(args.exponents):
             raise PreconditionError("--primes and --exponents differ in length")
+        if len(set(args.primes)) != len(args.primes):
+            raise PreconditionError(f"--primes repeats a prime: {args.primes}")
         modulus = prod(p**e for p, e in zip(args.primes, args.exponents))
         primes = sorted(args.primes)
         exponents = dict(zip(args.primes, args.exponents))

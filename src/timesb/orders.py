@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
@@ -216,20 +217,18 @@ def split_denominator(profile: OrderProfile, d) -> DenominatorSplit:
 def order_from_profile(profile: OrderProfile, exponents: Mapping[int, int]) -> int:
     """ord(base, prod p^e_p) in closed form; exponents may be 0 (prime absent)."""
     primes = set(profile.primes)
-    d = 1
     for p, e in exponents.items():
         if p not in primes:
             raise PreconditionError(f"prime {p} not in profile primes")
         if e < 0:
             raise PreconditionError(f"exponent of {p} must be >= 0, got {e}")
-        d *= p**e
-    split = split_denominator(profile, factorize(d))
+    factors = tuple((p, e) for p, e in sorted(exponents.items()) if e > 0)
+    d = prod(p**e for p, e in factors)
+    split = split_denominator(profile, Factorization(value=d, factors=factors))
     if split.d1 == 1:
         return split.d0
     d1_factors = tuple(
-        (p, min(exponents.get(p, 0), profile.stats(p).cap_exp))
-        for p in profile.primes
-        if min(exponents.get(p, 0), profile.stats(p).cap_exp) > 0
+        (p, vp(split.d1, p)) for p in profile.primes if split.d1 % p == 0
     )
     lam = group_exponent_factored(Factorization(value=split.d1, factors=d1_factors))
     return split.d0 * mult_order_fast(profile.base, split.d1, lam)

@@ -42,11 +42,20 @@ coefficients summing to b, so at most b*S, its own scale. All entries are
 thus at most base^L < 2^62 (enforced), and the sums a step forms (such as
 a*k1 + k0 for a not-yet-finished descent, at most 2*S) stay below 2^63.
 
-Candidates sitting on a leaf boundary (denominator dividing base^L) can have
-a second expansion leaving the tree, so they are returned to the caller for
-a full membership check; interior candidates are settled here by walking
-digits from the depth-L remainder, memoized per denominator so shared orbit
-tails are walked once.
+Candidates whose denominator has no prime outside the base's terminate, so
+they have a second expansion, which may leave the tree; they are returned to
+the caller for a full membership check. Such a denominator need not divide
+base^L (a/256 in base 6 at L = 7), so the two expansions may part only past
+depth L. Every other candidate lies strictly inside its leaf, so its unique
+expansion starts with the leaf's L good digits and continues with the digits
+of the remainders r = num*base^L mod den, an eventually periodic sequence. A
+vectorized Brent cycle walk settles all of them at once: each round steps
+every live row (digit t // den and new r = t mod den for t = base*r), drops
+a row at its first bad digit, and keeps it as a member once r returns to its
+checkpoint, which is reset to r after steps 1, 2, 4, 8, ... A return means
+the checkpoint lies on the cycle and every remainder of the preperiod and the
+cycle has produced a good digit. A row with preperiod mu and cycle length
+lambda finishes within about mu + 2*lambda rounds.
 """
 
 from __future__ import annotations
@@ -58,7 +67,6 @@ import numpy as np
 
 from .errors import InvariantError, PreconditionError
 
-_PRESTEPS = 8  # vectorized digit steps before falling back to Python walks
 _CHUNK_NODES = 8  # frontier nodes per worker task
 _MAX_STEPS = 200  # a denominator below 2^62 has fewer than 92 partial quotients
 
@@ -136,52 +144,6 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return a * final[4] + final[5], a * final[6] + final[7], final
 
 
-def _strip_base_primes(den: np.ndarray, base: int) -> np.ndarray:
-    """Divide out every prime factor shared with the base, elementwise."""
-    out = den.copy()
-    b = base
-    p = 2
-    while p * p <= b:
-        if b % p == 0:
-            while b % p == 0:
-                b //= p
-            mask = out % p == 0
-            while mask.any():
-                out[mask] //= p
-                mask = out % p == 0
-        p += 1
-    if b > 1:
-        mask = out % b == 0
-        while mask.any():
-            out[mask] //= b
-            mask = out % b == 0
-    return out
-
-
-def _tail_all_good(base: int, good: Sequence[bool], den: int, r: int, memo: dict) -> bool:
-    # memo values: True / False verdicts, 2 = on the current path
-    path = []
-    verdict = None
-    while True:
-        known = memo.get(r)
-        if known is True or known is False:
-            verdict = known
-            break
-        if known == 2:
-            verdict = True  # closed a cycle of good digits
-            break
-        memo[r] = 2
-        path.append(r)
-        t = base * r
-        if not good[t // den]:
-            verdict = False
-            break
-        r = t % den
-    for state in path:
-        memo[state] = verdict
-    return verdict
-
-
 def _descend_chunk(
     base: int,
     digits: tuple[int, ...],
@@ -193,63 +155,49 @@ def _descend_chunk(
     """From frontier states at the given depth down to the leaves.
 
     Returns (members, boundary): members are (num, den) pairs verified by the
-    interior digit walk; boundary pairs have denominators dividing base^L and
-    need the caller's exact membership check.
+    interior cycle walk; boundary pairs have no prime factor outside the
+    base's and need the caller's exact membership check.
     """
     # frontier states are final already, so this first pass takes no step
     num, den, state = _descend(state, T)
     for _ in range(depth, L):
         num, den, state = _descend(_children(state, digits, base), T)
-    if not num.size:
-        empty = np.empty((0, 2), dtype=np.int64)
-        return empty, empty
+    del state  # the leaf states are not needed: free them before the walk
 
-    boundary_mask = _strip_base_primes(den, base) == 1
-    boundary = np.stack([num[boundary_mask], den[boundary_mask]], axis=1)
+    # boundary rows have no prime outside the base's. Every base prime left
+    # in rest divides g, which starts as gcd(den, base^L), so dividing g out
+    # until it is 1 strips them all
+    scale = np.int64(pow(base, L))  # < 2^62 by the members_up_to guard
+    rest, g = den, np.gcd(den, scale)
+    while (g > 1).any():
+        rest = rest // g
+        g = np.gcd(rest, g)
+    on_boundary = rest == 1
+    boundary = np.stack([num[on_boundary], den[on_boundary]], axis=1)
 
-    num_i, den_i = num[~boundary_mask], den[~boundary_mask]
-    if num_i.size == 0:
-        return np.empty((0, 2), dtype=np.int64), boundary
-
-    big = pow(base, L)  # fits int64 by the members_up_to guard
-    r = (num_i * (np.int64(big) % den_i)) % den_i
-
-    good_lut = np.zeros(base, dtype=bool)
-    good_lut[list(digits)] = True
-    alive = np.ones(num_i.shape[0], dtype=bool)
-    for _ in range(_PRESTEPS):
-        if not alive.any():
-            break
-        t = base * r[alive]
-        dg = t // den_i[alive]
-        ok = good_lut[dg]
-        r_new = t - dg * den_i[alive]
-        sub = np.flatnonzero(alive)
-        alive[sub[~ok]] = False
-        r[sub[ok]] = r_new[ok]
-
-    num_i, den_i, r = num_i[alive], den_i[alive], r[alive]
-    if num_i.size == 0:
-        return np.empty((0, 2), dtype=np.int64), boundary
-
-    order = np.argsort(den_i, kind="stable")
-    num_i, den_i, r = num_i[order], den_i[order], r[order]
-    keep_rows = []
-    i = 0
-    n = den_i.shape[0]
-    while i < n:
-        j = i
-        dv = int(den_i[i])
-        while j < n and den_i[j] == dv:
-            j += 1
-        memo: dict[int, object] = {}
-        for k in range(i, j):
-            if _tail_all_good(base, good_lut, dv, int(r[k]), memo):
-                keep_rows.append(k)
-        i = j
-    members = np.stack(
-        [num_i[keep_rows], den_i[keep_rows]], axis=1
-    ) if keep_rows else np.empty((0, 2), dtype=np.int64)
+    # Brent cycle walk on the remainders past depth L: a row is a member once
+    # its remainder returns to the checkpoint with every digit so far good
+    num, den = num[~on_boundary], den[~on_boundary]
+    r = num * (scale % den) % den  # < T^2 < base^L
+    good = np.zeros(base, dtype=bool)
+    good[list(digits)] = True
+    row, d, check = np.arange(r.size), den, r
+    kept = [row[:0]]
+    step, reset = 0, 1
+    while r.size:
+        t = base * r
+        digit = t // d
+        r = t - digit * d
+        ok = good[digit]
+        back = ok & (r == check)
+        kept.append(row[back])
+        live = np.flatnonzero(ok & ~back)
+        row, d, r, check = row[live], d[live], r[live], check[live]
+        step += 1
+        if step == reset:
+            check, reset = r, 2 * reset
+    hit = np.concatenate(kept)
+    members = np.stack([num[hit], den[hit]], axis=1)
     return members, boundary
 
 
@@ -267,9 +215,9 @@ def members_up_to(
     """All reduced members (num, den) with den <= T, sorted by (den, num).
 
     boundary_check(num, den) must decide exact membership; it is consulted
-    only for candidates whose denominator divides base^limit_depth (interval
-    endpoints, where a second digit expansion can exist). Output is identical
-    for every jobs value.
+    only for candidates whose denominator has no prime outside the base's
+    (where a second digit expansion can exist). Output is identical for every
+    jobs value.
     """
     digits = tuple(sorted(set(int(x) for x in digits)))
     if base < 2 or not digits or digits[0] < 0 or digits[-1] >= base:

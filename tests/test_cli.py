@@ -40,6 +40,18 @@ def test_order_rejects_shared_factor(capsys):
     assert "precondition" in err
 
 
+def test_order_rejects_repeated_primes(capsys):
+    # a repeated prime once merged into one exponent while the modulus kept
+    # both factors: the first exited 3, the second printed a wrong order
+    for primes, exponents in (("3,3", "1,2"), ("1000003,1000003", "1,1")):
+        code, out, err = run_cli(
+            capsys, "order", "--base", "2", "--primes", primes,
+            "--exponents", exponents,
+        )
+        assert code == 2 and out == ""
+        assert "precondition" in err and "repeats" in err
+
+
 def test_density_examples(capsys):
     rec = run_json(
         capsys, "density", "--base", "3", "--primes", "2,5", "--epsilon", "1/6"

@@ -18,7 +18,7 @@ from timesb.cantor import (
 from timesb.errors import PreconditionError
 from timesb.sieve import _ROOT, _children, _descend, limit_depth, members_up_to
 
-from oracles import simplest_fraction
+from oracles import reduced_members_oracle, simplest_fraction
 
 
 def naive_members(ds: DigitSet, T: int) -> list[Fraction]:
@@ -143,11 +143,42 @@ def test_limit_depth():
         (10, (0, 3, 7, 9), 60),
         (6, (0, 5), 100),
         (4, (1, 2), 100),
+        # L = 7 and 2^8 does not divide 6^7: a/256 such as 53/256 is a
+        # member only through its dual expansion, so boundary rows must be
+        # told apart by their primes, not by dividing base^L
+        (6, (1, 2, 3, 4, 5), 300),
+        # a/96 = a/(2^5 * 3) has 5 preperiod digits, one more than L = 4,
+        # then repeats 3 or 6: the cycle walk's checkpoint set after step 1
+        # comes back on step 2, whose digit 3 must still drop the row
+        (10, (0, 1, 2, 4, 5, 6, 7, 8, 9), 99),
     ],
 )
 def test_sieve_matches_naive_scan(base, digits, T):
     ds = DigitSet(base, digits)
     assert reduced_members_up_to(ds, T) == naive_members(ds, T)
+
+
+@pytest.mark.parametrize(
+    "base,digits,T",
+    [
+        (7, (0, 1, 2, 3, 4, 5), 1500),
+        (3, (0, 2), 3000),
+        (10, (0, 1, 2, 3, 4, 5, 6, 7, 8), 600),
+    ],
+)
+def test_sieve_long_cycles_match_mask_oracle(base, digits, T):
+    # dense digit sets keep members whose remainder cycles are long, so the
+    # leaf cycle walk runs for many rounds; the oracle walks every residue
+    ds = DigitSet(base, digits)
+    rows = members_up_to(
+        base, digits, T, lambda num, den: member(ds, Fraction(num, den))
+    )
+    by_den: dict[int, list[int]] = {}
+    for num, den in rows.tolist():
+        by_den.setdefault(den, []).append(num)
+    for den in range(2, T + 1):
+        if gcd(den, base) == 1:
+            assert by_den.get(den, []) == reduced_members_oracle(base, digits, den), den
 
 
 def test_known_counts_middle_thirds():
