@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .numtheory import Factorization, factorize
-from .orbit import density_bound
+from .orbit import _remainder_walk, density_bound
 from .orders import OrderProfile, split_denominator
 from .rational import frac_str
 from .sieve import members_up_to
@@ -199,21 +199,18 @@ class ExpansionInfo:
 
 
 def expand(base: int, x: Fraction) -> ExpansionInfo:
-    """Greedy (long division) base-b expansion of x in [0,1)."""
+    """Greedy (long division) base-b expansion of x in [0,1).
+
+    The digit at remainder r of the orbit's remainder walk over den(x) is
+    b*r // den(x), so the expansion repeats exactly where the orbit does.
+    """
     if base < 2:
         raise PreconditionError(f"base must be >= 2, got {base}")
     if x < 0 or x >= 1:
         raise PreconditionError(f"{frac_str(x)} outside [0,1)")
-    num, den = x.numerator, x.denominator
-    seen: dict[int, int] = {}
-    digits: list[int] = []
-    r = num
-    while r not in seen:
-        seen[r] = len(digits)
-        t = r * base
-        digits.append(t // den)
-        r = t % den
-    cut = seen[r]
+    den = x.denominator
+    rems, cut = _remainder_walk(base, x.numerator, den)
+    digits = [base * r // den for r in rems]
     return ExpansionInfo(
         base=base, preperiod=tuple(digits[:cut]), period=tuple(digits[cut:])
     )

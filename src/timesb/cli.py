@@ -268,9 +268,7 @@ def cmd_count(args) -> int:
         for T, _, full, flag in rows:
             print(f"{T},{full},{flag}")
     else:
-        print("T,count_reduced,count_all,includes_endpoints")
-        for T, red, full, flag in rows:
-            print(f"{T},{red},{full},{flag}")
+        print(rep.to_csv(), end="")
     return 0
 
 

@@ -217,15 +217,6 @@ def largest_prime(n: int) -> int:
     return factorize(n).factors[-1][0]
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, result in [0, modulus)."""
-    if modulus < 1:
-        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
-    if exp < 0:
-        raise PreconditionError(f"exponent must be >= 0, got {exp}")
-    return pow(base, exp, modulus)
-
-
 def mult_order_bruteforce(base: int, modulus: int) -> int:
     """Multiplicative order of base mod modulus by repeated multiplication.
 
@@ -283,13 +274,6 @@ def mult_order_fast(base: int, modulus: int, exponent_factors) -> int:
             else:
                 break
     return order
-
-
-def order_of_power(s: int, t: int) -> int:
-    """Order of g**t in a cyclic group where g has order s."""
-    if s < 1 or t < 1:
-        raise PreconditionError("order_of_power requires s, t >= 1")
-    return s // gcd(s, t)
 
 
 def unit_group_exponent(p: int, n: int) -> int:

@@ -1,38 +1,48 @@
 """Orbits of rationals under x -> b*x mod 1, exactly.
 
-An orbit of a rational is finite: a transient while powers of primes shared
-with b drain out of the denominator, then a cycle through numerators coprime
-to the surviving denominator. For denominators built from a fixed prime set
-the cycle is a union of arithmetic progressions (the capped-part orbit shifted
-by multiples of 1/d0), which is what makes the effective density bound D work.
+An orbit of a/d is finite: every point is r/d for a remainder r in [0, d),
+and one step is r -> b*r mod d, so the orbit is a walk over integer
+remainders that ends at the first repeat. The walk shows a transient while
+powers of primes shared with b drain out of the denominator, then a cycle
+through the remainders whose points have the surviving, coprime denominator.
+For denominators built from a fixed prime set the cycle is a union of
+arithmetic progressions (the capped-part orbit shifted by multiples of 1/d0),
+which is what makes the effective density bound D work.
+
+One private walk, `_remainder_walk`, serves `orbit`, `decompose` and the
+digit expansion in `timesb.cantor`; points become `Fraction`s only on the
+way out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .numtheory import factorize
-from .orders import DenominatorSplit, OrderProfile, order_from_profile, split_denominator
+from .orders import DenominatorSplit, OrderProfile, _order_of_split, split_denominator
 from .rational import frac_str
 
 
-def _require_unit_interval(x: Fraction, allow_one: bool = False) -> None:
-    if x < 0 or x > 1 or (x == 1 and not allow_one):
-        rng = "[0,1]" if allow_one else "[0,1)"
-        raise PreconditionError(f"{frac_str(x)} outside {rng}")
+def _require_unit_interval(x: Fraction) -> None:
+    if x < 0 or x >= 1:
+        raise PreconditionError(f"{frac_str(x)} outside [0,1)")
 
 
-def times_b(base: int, x: Fraction) -> Fraction:
-    """One step of the map: fractional part of base * x."""
-    if base < 2:
-        raise PreconditionError(f"base must be >= 2, got {base}")
-    _require_unit_interval(x)
-    n = base * x.numerator % x.denominator
-    return Fraction(n, x.denominator)
+def _remainder_walk(base: int, num: int, den: int) -> tuple[list[int], int]:
+    """Remainders num, b*num mod den, ... up to the first repeat, and the
+    index where the cycle starts (the preperiod)."""
+    seen: dict[int, int] = {}
+    rems: list[int] = []
+    r = num
+    while r not in seen:
+        seen[r] = len(rems)
+        rems.append(r)
+        r = base * r % den
+    return rems, seen[r]
 
 
 @dataclass(frozen=True)
@@ -60,26 +70,18 @@ class OrbitInfo:
 
 
 def orbit(base: int, x: Fraction) -> OrbitInfo:
-    """Forward orbit of x until the first repeat, by exact iteration."""
+    """Forward orbit of x until the first repeat, by the remainder walk."""
     if base < 2:
         raise PreconditionError(f"base must be >= 2, got {base}")
     _require_unit_interval(x)
-    n, d = x.numerator, x.denominator
-    seen: dict[tuple[int, int], int] = {}
-    pts: list[Fraction] = []
-    while (n, d) not in seen:
-        seen[(n, d)] = len(pts)
-        pts.append(Fraction(n, d))
-        n = base * n % d
-        g = gcd(n, d)
-        n, d = n // g, d // g
-    first = seen[(n, d)]
+    d = x.denominator
+    rems, first = _remainder_walk(base, x.numerator, d)
     return OrbitInfo(
         base=base,
         start=x,
-        points=tuple(pts),
+        points=tuple(Fraction(r, d) for r in rems),
         preperiod=first,
-        period=len(pts) - first,
+        period=len(rems) - first,
     )
 
 
@@ -88,7 +90,7 @@ class OrbitDecomposition:
     """The two descriptions of a purely periodic orbit, verified equal.
 
     a1 is the orbit as iterated; a2 rebuilds it from the capped-part orbit
-    plus offsets j/d0. Both are stored sorted.
+    plus offsets j/d0. Both are stored sorted, once they compare equal.
     """
 
     base: int
@@ -114,6 +116,10 @@ class OrbitDecomposition:
 def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
     """Split the orbit of x through the d0/d1 factorization and verify it.
 
+    Both descriptions are compared as sorted numerators over d = den(x):
+    A1 is the remainder walk of x itself, and A2 shifts each remainder q of
+    the walk mod d1 by j/d0, i.e. q/d1 + j/d0 = (q + j*d1)/d for j < d0.
+
     Requires den(x) composed of the profile's primes (hence coprime to the
     base). Raises InvariantError if the two constructions disagree; that
     would mean the profile's caps are wrong.
@@ -124,25 +130,22 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
         raise PreconditionError(
             f"denominator {d} shares a factor with base {profile.base}"
         )
-    fact = factorize(d)
-    split = split_denominator(profile, fact)
-    exps = dict(fact)
-    order = order_from_profile(profile, exps)
+    split = split_denominator(profile, factorize(d))
+    order = _order_of_split(profile, split)
 
-    a1_info = orbit(profile.base, x)
-    if a1_info.preperiod != 0:
+    rems, preperiod = _remainder_walk(profile.base, x.numerator, d)
+    if preperiod != 0:
         raise InvariantError(f"orbit of {frac_str(x)} not purely periodic")
-    a1 = tuple(sorted(a1_info.points))
+    a1 = sorted(rems)
 
     d0, d1 = split.d0, split.d1
-    inner = orbit(profile.base, Fraction(x.numerator % d1, d1))
-    if len(a1) != d0 * len(inner.points):
+    inner, _ = _remainder_walk(profile.base, x.numerator % d1, d1)
+    if len(a1) != d0 * len(inner):
         raise InvariantError(
             f"|A1| = {len(a1)} but d0 * |orbit mod d1| = "
-            f"{d0 * len(inner.points)} for {frac_str(x)}"
+            f"{d0 * len(inner)} for {frac_str(x)}"
         )
-    a2_set = {q / d0 + Fraction(j, d0) for q in inner.points for j in range(d0)}
-    a2 = tuple(sorted(a2_set))
+    a2 = sorted(q + j * d1 for q in inner for j in range(d0))
 
     if len(a1) != order:
         raise InvariantError(
@@ -150,8 +153,9 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
         )
     if a1 != a2:
         raise InvariantError(f"A1 != A2 for base {profile.base}, x = {frac_str(x)}")
+    points = tuple(Fraction(r, d) for r in a1)
     return OrbitDecomposition(
-        base=profile.base, start=x, split=split, order=order, a1=a1, a2=a2
+        base=profile.base, start=x, split=split, order=order, a1=points, a2=points
     )
 
 
@@ -177,19 +181,19 @@ def cover_radius(points: Iterable[Fraction]) -> Fraction:
     """Exact sup over x in [0,1] of the distance from x to the point set.
 
     End gaps count at full length (nothing beyond the interval helps them),
-    interior gaps at half.
+    interior gaps at half. The points are compared as integer numerators over
+    their common denominator (for an orbit, the start's denominator).
     """
-    pts = sorted(set(points))
+    pts = list(points)
     if not pts:
         raise PreconditionError("cover radius of an empty point set")
-    for p in pts:
-        _require_unit_interval(p, allow_one=True)
-    worst = max(pts[0], 1 - pts[-1])
-    for a, b in zip(pts, pts[1:]):
-        half = (b - a) / 2
-        if half > worst:
-            worst = half
-    return worst
+    den = lcm(*{p.denominator for p in pts})
+    nums = sorted({p.numerator * (den // p.denominator) for p in pts})
+    for n in (nums[0], nums[-1]):
+        if not 0 <= n <= den:
+            raise PreconditionError(f"{frac_str(Fraction(n, den))} outside [0,1]")
+    gap = max((b - a for a, b in zip(nums, nums[1:])), default=0)
+    return Fraction(max(2 * nums[0], 2 * (den - nums[-1]), gap), 2 * den)
 
 
 def density_report(points: Sequence[Fraction], epsilon: Fraction) -> DensityReport:
@@ -208,28 +212,3 @@ def density_bound(profile: OrderProfile, epsilon: Fraction) -> Fraction:
     if epsilon <= 0:
         raise PreconditionError(f"epsilon must be positive, got {frac_str(epsilon)}")
     return Fraction(profile.cap_modulus(), 1) / (2 * epsilon)
-
-
-def coprime_part(d: int, base: int) -> int:
-    """Largest divisor of d coprime to base."""
-    if d < 1 or base < 2:
-        raise PreconditionError(f"need d >= 1 and base >= 2, got {d}, {base}")
-    g = gcd(d, base)
-    while g > 1:
-        d //= g
-        g = gcd(d, base)
-    return d
-
-
-def extend_prime_set(primes: Iterable[int], d_extra: int, base: int) -> tuple[int, ...]:
-    """Adjoin the primes of d_extra not dividing base to an existing set."""
-    s = set(primes)
-    for p in s:
-        if base % p == 0:
-            raise PreconditionError(f"prime {p} divides base {base}")
-    if d_extra < 1:
-        raise PreconditionError(f"d_extra must be >= 1, got {d_extra}")
-    for p, _ in factorize(d_extra):
-        if base % p != 0:
-            s.add(p)
-    return tuple(sorted(s))

@@ -85,6 +85,38 @@ def factor_bruteforce(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def orbit_oracle(base: int, x: Fraction) -> tuple[list[Fraction], int]:
+    """Points of the orbit of x under y -> (b*y) % 1 up to the first repeat,
+    by plain Fraction iteration, and the index where the cycle starts."""
+    seen: dict[Fraction, int] = {}
+    points: list[Fraction] = []
+    while x not in seen:
+        seen[x] = len(points)
+        points.append(x)
+        x = (base * x) % 1
+    return points, seen[x]
+
+
+def coprime_part(d: int, base: int) -> int:
+    """Largest divisor of d >= 1 coprime to base >= 2."""
+    g = gcd(d, base)
+    while g > 1:
+        d //= g
+        g = gcd(d, base)
+    return d
+
+
+def cover_radius_oracle(points) -> Fraction:
+    """sup over x in [0,1] of the distance from x to a non-empty point set in
+    [0,1], from the sorted Fractions: end gaps count in full, interior gaps
+    at half."""
+    pts = sorted(set(points))
+    worst = max(pts[0], 1 - pts[-1])
+    for a, b in zip(pts, pts[1:]):
+        worst = max(worst, (b - a) / 2)
+    return worst
+
+
 def spf_sieve(limit: int) -> np.ndarray:
     """smallest prime factor for every n <= limit (spf[0] = spf[1] = 0)."""
     spf = np.zeros(limit + 1, dtype=np.int64)

@@ -22,8 +22,9 @@ from timesb.cantor import (
 )
 from timesb.errors import PreconditionError
 from timesb.numtheory import mult_order_bruteforce, vp
-from timesb.orbit import coprime_part
 from timesb.orders import build_profile, split_denominator
+
+from oracles import coprime_part, orbit_oracle
 
 F = Fraction
 
@@ -127,6 +128,23 @@ def test_expansion_structure(b, a, d):
         if dd % p == 0:
             expected_pre = max(expected_pre, -(-vp(dd, p) // vp(b, p)))
     assert len(info.preperiod) == expected_pre
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=600),
+    st.integers(min_value=1, max_value=600),
+)
+@settings(max_examples=200)
+def test_expand_digits_follow_orbit(b, a, d):
+    # digit k is floor(b * p) at the k-th orbit point, and the expansion
+    # repeats where the orbit does
+    x = F(a % d, d)
+    info = expand(b, x)
+    points, preperiod = orbit_oracle(b, x)
+    assert info.preperiod + info.period == tuple(math.floor(b * p) for p in points)
+    assert len(info.preperiod) == preperiod
+    assert len(info.period) == len(points) - preperiod
 
 
 def _is_prime(n):

@@ -1,8 +1,10 @@
 """CLI surface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,25 @@ def test_order_rejects_shared_factor(capsys):
     code, _, err = run_cli(capsys, "order", "--base", "2", "--modulus", "6")
     assert code == 2
     assert "precondition" in err
+
+
+def test_order_rejects_base_below_two(capsys):
+    code, out, err = run_cli(capsys, "order", "--base", "0", "--modulus", "7")
+    assert code == 2 and out == ""
+    assert "base must be >= 2, got 0" in err
+
+
+def test_order_prime_near_1e9_returns():
+    # ord(2, 1e9+7) once took O(p) brute-force steps and never returned
+    proc = subprocess.run(
+        [sys.executable, "-m", "timesb", "order", "--base", "2",
+         "--modulus", "1000000007"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "base": 2, "modulus": 1000000007, "order": 500000003, "verified": None,
+    }
 
 
 def test_order_rejects_repeated_primes(capsys):
@@ -83,6 +104,25 @@ def test_orbit_and_decompose(capsys):
     assert rec["d0"] == 3 and rec["d1"] == 3 and rec["a1_equals_a2"] is True
     rec = run_json(capsys, "orbit", "--base", "3", "--frac", "0")
     assert rec["points"] == ["0"] and rec["period"] == 1
+    code, out, _ = run_cli(
+        capsys, "orbit", "--base", "2", "--frac", "0", "--decompose",
+        "--primes", "3",
+    )
+    assert code == 0 and '"a1":["0"]' in out and '"a1_equals_a2":true' in out
+
+
+def test_orbit_layer_stdout_matches_benchmark_digests(capsys):
+    # every orbit, profile and order request of the benchmark menus, against
+    # the stdout sha256 the benchmark recorded
+    expected = json.loads(
+        (Path(__file__).parent.parent / "perfbench" / "expected.json").read_text()
+    )
+    keys = [k for k in expected if k.split()[0] in ("orbit", "profile", "order")]
+    assert len(keys) == 20
+    for key in keys:
+        code, out, _ = run_cli(capsys, *key.split())
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[key], key
 
 
 def test_certify_wall(capsys):

@@ -15,10 +15,8 @@ from timesb.numtheory import (
     group_exponent_factored,
     is_prime,
     largest_prime,
-    mod_pow,
     mult_order_bruteforce,
     mult_order_fast,
-    order_of_power,
     radical,
     unit_group_exponent,
     vp,
@@ -153,15 +151,6 @@ def test_largest_prime():
         largest_prime(1)
 
 
-def test_mod_pow_matches_builtin():
-    assert mod_pow(3, 100, 7) == pow(3, 100, 7)
-    assert mod_pow(5, 0, 9) == 1
-    with pytest.raises(PreconditionError):
-        mod_pow(2, -1, 7)
-    with pytest.raises(PreconditionError):
-        mod_pow(2, 3, 0)
-
-
 def test_order_bruteforce_examples():
     assert mult_order_bruteforce(3, 8) == 2
     assert mult_order_bruteforce(2, 9) == 6
@@ -202,26 +191,6 @@ def test_order_divides_group_exponent(m):
     for b in range(2, m):
         if math.gcd(b, m) == 1:
             assert e_mult % mult_order_bruteforce(b, m) == 0
-
-
-def test_order_of_power():
-    assert order_of_power(12, 8) == 3
-    assert order_of_power(12, 5) == 12
-    assert order_of_power(6, 6) == 1
-    with pytest.raises(PreconditionError):
-        order_of_power(0, 3)
-
-
-@given(
-    st.integers(min_value=1, max_value=500),
-    st.integers(min_value=1, max_value=500),
-)
-def test_order_of_power_is_order_in_cyclic_group(s, t):
-    # in Z/s, the element t has additive order s/gcd(s,t)
-    k = order_of_power(s, t)
-    assert k * t % s == 0
-    for j in range(1, k):
-        assert j * t % s != 0 or k == 1
 
 
 def test_unit_group_exponent_examples():

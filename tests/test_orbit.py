@@ -9,34 +9,17 @@ from hypothesis import strategies as st
 from timesb.errors import PreconditionError
 from timesb.numtheory import mult_order_bruteforce
 from timesb.orbit import (
-    coprime_part,
     cover_radius,
     decompose,
     density_bound,
     density_report,
-    extend_prime_set,
     orbit,
-    times_b,
 )
 from timesb.orders import build_profile
 
+from oracles import coprime_part, cover_radius_oracle, orbit_oracle
+
 F = Fraction
-
-
-def test_times_b_examples():
-    assert times_b(3, F(1, 4)) == F(3, 4)
-    assert times_b(2, F(5, 9)) == F(1, 9)
-    assert times_b(3, F(1, 6)) == F(1, 2)
-    assert times_b(5, F(0)) == F(0)
-
-
-def test_times_b_domain():
-    with pytest.raises(PreconditionError):
-        times_b(3, F(1))
-    with pytest.raises(PreconditionError):
-        times_b(3, F(-1, 2))
-    with pytest.raises(PreconditionError):
-        times_b(1, F(1, 2))
 
 
 def test_orbit_examples():
@@ -52,6 +35,10 @@ def test_orbit_examples():
     o = orbit(7, F(0))
     assert o.points == (F(0),)
     assert (o.preperiod, o.period) == (0, 1)
+
+    for base, x in ((3, F(1)), (3, F(-1, 2)), (1, F(1, 2))):
+        with pytest.raises(PreconditionError):
+            orbit(base, x)
 
 
 def test_orbit_json_round():
@@ -71,16 +58,16 @@ def test_orbit_structure(b, a, d):
         return
     x = F(a, d)
     o = orbit(b, x)
+    points, preperiod = orbit_oracle(b, x)
+    assert o.points == tuple(points)
+    assert (o.preperiod, o.period) == (preperiod, len(points) - preperiod)
     # denominators divide along the orbit and settle at the coprime part
     for p, q in zip(o.points, o.points[1:]):
-        assert p.denominator % q.denominator == 0 or times_b(b, p) == q
-        assert times_b(b, p) == q
+        assert p.denominator % q.denominator == 0
     tail_den = coprime_part(x.denominator, b)
     assert o.points[-1].denominator == tail_den or o.period == 1
     for pt in o.cycle:
         assert pt.denominator == tail_den or pt == 0
-    # closing the loop
-    assert times_b(b, o.points[-1]) == o.points[o.preperiod]
 
 
 @given(
@@ -110,6 +97,10 @@ def test_decompose_examples():
     dec = decompose(prof, F(1, 3))
     assert dec.split.d0 == 1
     assert dec.a1 == (F(1, 3), F(2, 3))
+
+    dec = decompose(prof, F(0))
+    assert (dec.split.d0, dec.split.d1, dec.order) == (1, 1, 1)
+    assert dec.a1 == dec.a2 == (F(0),)
 
     prof35 = build_profile(3, [2, 5])
     dec = decompose(prof35, F(1, 160))
@@ -154,6 +145,36 @@ def test_cover_radius_examples():
         cover_radius([])
 
 
+_unit_points = st.integers(min_value=1, max_value=60).flatmap(
+    lambda d: st.integers(min_value=0, max_value=d).map(lambda a: F(a, d))
+)
+
+
+@given(
+    st.lists(_unit_points, min_size=1, max_size=12),
+    st.sampled_from([(), (F(0),), (F(1),), (F(0), F(1))]),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=200)
+def test_cover_radius_matches_oracle(pts, ends, dups):
+    pts = pts + list(ends) + pts[:dups]
+    want = cover_radius_oracle(pts)
+    assert cover_radius(pts) == want
+    assert cover_radius(iter(pts)) == want
+
+
+@given(
+    st.lists(_unit_points, max_size=6),
+    st.sampled_from([F(-1, 7), F(8, 7), F(-1), F(2), F(61, 60)]),
+)
+@settings(max_examples=50)
+def test_cover_radius_rejects_out_of_range(pts, bad):
+    with pytest.raises(PreconditionError, match="outside"):
+        cover_radius(pts + [bad])
+    with pytest.raises(PreconditionError, match="outside"):
+        cover_radius([bad] + pts)
+
+
 def test_density_report():
     rep = density_report(orbit(2, F(1, 9)).points, F(1, 9))
     assert rep.is_dense and rep.cover_radius == F(1, 9)
@@ -184,20 +205,3 @@ def test_effective_density_small_case():
             rep = density_report(orbit(2, F(a, d)).points, F(1, 6))
             assert rep.is_dense
     assert not density_report(orbit(2, F(1, 3)).points, F(1, 6)).is_dense
-
-
-def test_coprime_part():
-    assert coprime_part(12, 2) == 3
-    assert coprime_part(35, 6) == 35
-    assert coprime_part(180, 10) == 9
-    assert coprime_part(1, 7) == 1
-    with pytest.raises(PreconditionError):
-        coprime_part(0, 2)
-
-
-def test_extend_prime_set():
-    assert extend_prime_set([3], 10, 2) == (3, 5)
-    assert extend_prime_set([2, 5], 1, 3) == (2, 5)
-    assert extend_prime_set([3], 21, 2) == (3, 7)
-    with pytest.raises(PreconditionError):
-        extend_prime_set([3], 10, 9)

@@ -84,9 +84,21 @@ def test_build_profile_examples():
     assert (s3.stable_exp, s3.cap_exp, s3.order_at_stable) == (2, 2, 1)
 
 
+def test_build_profile_orders_match_bruteforce():
+    # the profile's orders come from the factored group exponent; the
+    # brute-force order is the oracle
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    for b in range(2, 21):
+        prof = build_profile(b, [p for p in primes if b % p != 0])
+        for p, stats in prof.records:
+            assert stats.order_at_stable == mult_order_bruteforce(b, p**stats.stable_exp)
+
+
 def test_build_profile_rejects():
     with pytest.raises(PreconditionError):
         build_profile(3, [])
+    with pytest.raises(PreconditionError, match="base must be >= 2"):
+        build_profile(0, [7])
     with pytest.raises(PreconditionError, match="3"):
         build_profile(6, [3, 5])
     with pytest.raises(PreconditionError):
