@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log, sqrt
+from math import gcd, isqrt, log, sqrt
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import InvariantError, PreconditionError
 from .numtheory import largest_prime, radical
@@ -89,14 +91,17 @@ def bound_report(base: int, epsilon: Fraction, x: Fraction) -> BoundReport | Non
         return None
     if d == 1:
         raise PreconditionError("denominator 1 has no largest prime factor")
-    P = largest_prime(d)
-    rad = radical(d)
+    return _report(base, epsilon, a, d, largest_prime(d), radical(d))
+
+
+def _report(base: int, epsilon: Fraction, a: int, d: int, P: int, rad: int) -> BoundReport:
+    """The constants of member a/d with P = P(d) and rad = rad(d)."""
     if P == base:
         raise InvariantError(
             f"largest prime {P} equals the base despite gcd(a*b, d) = 1"
         )
-    two_eps_d = float(2 * epsilon * d)
-    la = log(two_eps_d)
+    # 2*epsilon*d as an int/int true division rounds as float() of it does
+    la = log(2 * epsilon.numerator * d / epsilon.denominator)
     lb = log(base)
     if P > base:
         branch = BRANCH_LARGE
@@ -120,6 +125,33 @@ def bound_report(base: int, epsilon: Fraction, x: Fraction) -> BoundReport | Non
         c_emp_rad=rad / ld,
         c_emp_P=P / sqrt(ld * log(ld)),
     )
+
+
+def member_bound_reports(base: int, epsilon: Fraction, rows: np.ndarray) -> list[BoundReport]:
+    """bound_report of each member row (num, den), in row order, over the
+    rows with den > 1 coprime to the base; P(den) and rad(den) come from one
+    int32 smallest-prime-factor table up to the largest den."""
+    rows = rows[(rows[:, 1] > 1) & (np.gcd(rows[:, 1], base) == 1)]
+    if rows.size and epsilon <= 0:
+        raise PreconditionError(f"epsilon must be positive, got {frac_str(epsilon)}")
+    n = int(rows[:, 1].max(initial=1))
+    spf = np.arange(n + 1, dtype=np.int32)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:  # unmarked multiples still hold themselves, all > p
+            block = spf[p * p :: p]
+            np.minimum(block, p, out=block)
+    reports = []
+    for a, d in rows.tolist():
+        if epsilon.numerator * d < 3 * epsilon.denominator:
+            continue
+        P, rad, m = 1, 1, d
+        while m > 1:  # smallest prime factors come out ascending
+            P = int(spf[m])
+            rad *= P
+            while m % P == 0:
+                m //= P
+        reports.append(_report(base, epsilon, a, d, P, rad))
+    return reports
 
 
 def aggregate_constants(reports: Iterable[BoundReport]) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -232,22 +232,31 @@ def dual_expansion(info: ExpansionInfo) -> ExpansionInfo | None:
     )
 
 
+def _witness_digits(ds: DigitSet, num: int, den: int) -> tuple[list, list] | None:
+    """Preperiod and period of an all-good expansion of num/den in [0, 1]:
+    the greedy one as in expand, else the dual of a terminating value."""
+    b, good = ds.base, ds._good
+    if num == den:
+        return ([], [b - 1]) if good[b - 1] else None
+    rems, cut = _remainder_walk(b, num, den)
+    digits = [b * r // den for r in rems]
+    if all(good[d] for d in digits):
+        return digits[:cut], digits[cut:]
+    if cut and rems[cut] == 0:  # terminating: the period is (0,)
+        digits[cut - 1] -= 1
+        if good[b - 1] and all(good[d] for d in digits[:cut]):
+            return digits[:cut], [b - 1]
+    return None
+
+
 def member_witness(ds: DigitSet, x: Fraction) -> ExpansionInfo | None:
     """An expansion of x using only allowed digits, or None if no such exists."""
     if x < 0 or x > 1:
         raise PreconditionError(f"{frac_str(x)} outside [0,1]")
-    b = ds.base
-    if x == 1:
-        if ds._good[b - 1]:
-            return ExpansionInfo(base=b, preperiod=(), period=(b - 1,))
+    w = _witness_digits(ds, x.numerator, x.denominator)
+    if w is None:
         return None
-    info = expand(b, x)
-    if all(ds._good[d] for d in info.all_digits()):
-        return info
-    dual = dual_expansion(info)
-    if dual is not None and all(ds._good[d] for d in dual.all_digits()):
-        return dual
-    return None
+    return ExpansionInfo(base=ds.base, preperiod=tuple(w[0]), period=tuple(w[1]))
 
 
 def member(ds: DigitSet, x: Fraction) -> bool:
@@ -286,17 +295,6 @@ def _coset_members(ds: DigitSet, d: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def _endpoint_members(ds: DigitSet) -> list[tuple[Fraction, ExpansionInfo]]:
-    found = []
-    if ds._good[0]:
-        found.append((Fraction(0), ExpansionInfo(base=ds.base, preperiod=(), period=(0,))))
-    if ds._good[ds.base - 1]:
-        found.append(
-            (Fraction(1), ExpansionInfo(base=ds.base, preperiod=(), period=(ds.base - 1,)))
-        )
-    return found
-
-
 def enumerate_members(
     ds: DigitSet, denominators: Iterable[int]
 ) -> Iterator[tuple[Fraction, ExpansionInfo]]:
@@ -312,20 +310,19 @@ def enumerate_members(
         if d in seen:
             raise PreconditionError(f"duplicate denominator {d}")
         seen.add(d)
-        if d == 1:
-            yield from _endpoint_members(ds)
-        elif gcd(d, ds.base) == 1:
+        if d > 1 and gcd(d, ds.base) == 1:
             for a, period in _coset_members(ds, d):
                 yield Fraction(a, d), ExpansionInfo(
                     base=ds.base, preperiod=(), period=period
                 )
-        else:
-            for a in range(1, d):
-                if gcd(a, d) != 1:
-                    continue
-                w = member_witness(ds, Fraction(a, d))
-                if w is not None:
-                    yield Fraction(a, d), w
+            continue
+        # d = 1 keeps 0 and 1, any larger d its numerators 1..d-1
+        for a in range(d + 1):
+            if gcd(a, d) != 1:
+                continue
+            w = member_witness(ds, Fraction(a, d))
+            if w is not None:
+                yield Fraction(a, d), w
 
 
 def _smooth_factorizations(primes: Iterable[int], limit: int) -> list[tuple[int, tuple]]:
@@ -500,6 +497,27 @@ def _member_pairs(ds: DigitSet, T: int, jobs: int) -> np.ndarray:
     )
 
 
+def _by_value(rows: np.ndarray) -> np.ndarray:
+    """(num, den) int64 rows of distinct fractions in [0, 1], sorted by value.
+
+    The sieve's guard T^2 < 2^62 keeps num <= den < 2^31, so both convert to
+    float exactly and the correctly rounded key num/den never decreases as
+    the value grows: only runs of equal keys can be out of order, and each is
+    re-sorted by cross-multiplying.
+    """
+    num, den = rows[:, 0], rows[:, 1]
+    key = num / den
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    tied = np.concatenate(([False], key[1:] == key[:-1], [False]))
+    edges = np.flatnonzero(tied[1:] != tied[:-1])
+    for start, stop in zip(edges[::2], edges[1::2] + 1):
+        run = [(int(num[i]), int(den[i]), i) for i in order[start:stop]]
+        run.sort(key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
+        order[start:stop] = [i for _, _, i in run]
+    return rows[order]
+
+
 def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]:
     """All members with reduced denominator <= T, ascending.
 
@@ -507,7 +525,7 @@ def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]
     full digit set is rejected there (everything is a member, enumerating
     ~0.3*T^2 fractions is pointless).
     """
-    return sorted(Fraction(int(n), int(d)) for n, d in _member_pairs(ds, T, jobs))
+    return [Fraction(n, d) for n, d in _by_value(_member_pairs(ds, T, jobs)).tolist()]
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,14 @@ from math import gcd, prod
 from .bounds import (
     BOUNDS_CSV_HEADER,
     aggregate_constants,
-    bound_report,
+    member_bound_reports,
     stabilization_growth_check,
 )
 from .cantor import (
     DigitSet,
+    _by_value,
+    _member_pairs,
+    _witness_digits,
     count_report,
     dual_expansion,
     enumerate_members,
@@ -210,7 +213,8 @@ def cmd_expand(args) -> int:
 _DEN_FORM_HELP = "denominator family like 2^k (with --max-exp bounding k)"
 
 
-def _enumerate_pairs(args, ds: DigitSet):
+def _enumerate_rows(args, ds: DigitSet) -> list[tuple]:
+    """(num, den, preperiod, period) of every member, value-ascending."""
     sources = sum(
         1 for flag in (args.den_form, args.max_den, args.denominators) if flag
     )
@@ -218,6 +222,16 @@ def _enumerate_pairs(args, ds: DigitSet):
         raise PreconditionError(
             "enumerate needs exactly one of --den-form, --max-den, --denominators"
         )
+    if args.max_den:
+        rows = []
+        for num, den in _by_value(_member_pairs(ds, args.max_den, args.jobs)).tolist():
+            w = _witness_digits(ds, num, den)
+            if w is None:
+                raise InvariantError(
+                    f"sieve member {num}/{den} has no expansion in digits {ds.digits}"
+                )
+            rows.append((num, den, *w))
+        return rows
     if args.den_form:
         head, sep, tail = args.den_form.partition("^")
         if sep != "^" or tail != "k" or not head.isdigit() or int(head) < 2:
@@ -226,25 +240,20 @@ def _enumerate_pairs(args, ds: DigitSet):
             raise PreconditionError("--den-form needs --max-exp")
         base = int(head)
         dens = [base**k for k in range(args.max_exp + 1)]
-        return list(enumerate_members(ds, dens))
-    if args.denominators:
-        return list(enumerate_members(ds, args.denominators))
-    members = reduced_members_up_to(ds, args.max_den, jobs=args.jobs)
-    return [(x, member_witness(ds, x)) for x in members]
+    else:
+        dens = args.denominators
+    pairs = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
+    return [(x.numerator, x.denominator, w.preperiod, w.period) for x, w in pairs]
 
 
 def cmd_enumerate(args) -> int:
     ds = DigitSet(args.base, tuple(args.digits))
-    pairs = sorted(_enumerate_pairs(args, ds), key=lambda pair: pair[0])
-    for x, w in pairs:
-        _emit(
-            {
-                "num": x.numerator,
-                "den": x.denominator,
-                "preperiod": list(w.preperiod),
-                "period": list(w.period),
-            }
-        )
+    # the bytes of _emit's sorted-key JSON, written directly for int fields
+    sys.stdout.writelines(
+        f'{{"den":{den},"num":{num},"period":[{",".join(map(str, period))}],'
+        f'"preperiod":[{",".join(map(str, pre))}]}}\n'
+        for num, den, pre, period in _enumerate_rows(args, ds)
+    )
     return 0
 
 
@@ -277,13 +286,8 @@ def cmd_bounds(args) -> int:
     eps = args.epsilon if args.epsilon is not None else ds.epsilon_exact
     if args.max_den >= 10**5:
         _progress(f"enumerating members up to {args.max_den} for bound reports")
-    reports = []
-    for x in reduced_members_up_to(ds, args.max_den, jobs=args.jobs):
-        if x.denominator == 1 or gcd(ds.base, x.denominator) != 1:
-            continue
-        r = bound_report(ds.base, eps, x)
-        if r is not None:
-            reports.append(r)
+    rows = _by_value(_member_pairs(ds, args.max_den, args.jobs))
+    reports = member_bound_reports(ds.base, eps, rows)
     summary = aggregate_constants(reports) if reports else {"count": 0}
     summary.update(
         {

@@ -10,14 +10,15 @@ arithmetic progressions (the capped-part orbit shifted by multiples of 1/d0),
 which is what makes the effective density bound D work.
 
 One private walk, `_remainder_walk`, serves `orbit`, `decompose` and the
-digit expansion in `timesb.cantor`; points become `Fraction`s only on the
-way out.
+digit expansions in `timesb.cantor`. An orbit keeps its remainders and prints
+each point r/d with one gcd; `Fraction`s are built only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -47,23 +48,34 @@ def _remainder_walk(base: int, num: int, den: int) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class OrbitInfo:
-    """All points of a forward orbit in first-visit order."""
+    """All points r/den of a forward orbit in first-visit order, kept as
+    their remainders r over den = den(start)."""
 
     base: int
     start: Fraction
-    points: tuple[Fraction, ...]
+    remainders: tuple[int, ...]
     preperiod: int
     period: int
+
+    @cached_property
+    def points(self) -> tuple[Fraction, ...]:
+        den = self.start.denominator
+        return tuple(Fraction(r, den) for r in self.remainders)
 
     @property
     def cycle(self) -> tuple[Fraction, ...]:
         return self.points[self.preperiod :]
 
     def to_json_dict(self) -> dict:
+        den = self.start.denominator
+        points = []
+        for r in self.remainders:
+            g = gcd(r, den)
+            points.append(str(r // g) if g == den else f"{r // g}/{den // g}")
         return {
             "base": self.base,
             "start": frac_str(self.start),
-            "points": [frac_str(p) for p in self.points],
+            "points": points,
             "preperiod": self.preperiod,
             "period": self.period,
         }
@@ -74,12 +86,11 @@ def orbit(base: int, x: Fraction) -> OrbitInfo:
     if base < 2:
         raise PreconditionError(f"base must be >= 2, got {base}")
     _require_unit_interval(x)
-    d = x.denominator
-    rems, first = _remainder_walk(base, x.numerator, d)
+    rems, first = _remainder_walk(base, x.numerator, x.denominator)
     return OrbitInfo(
         base=base,
         start=x,
-        points=tuple(Fraction(r, d) for r in rems),
+        remainders=tuple(rems),
         preperiod=first,
         period=len(rems) - first,
     )
@@ -118,7 +129,7 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
 
     Both descriptions are compared as sorted numerators over d = den(x):
     A1 is the remainder walk of x itself, and A2 shifts each remainder q of
-    the walk mod d1 by j/d0, i.e. q/d1 + j/d0 = (q + j*d1)/d for j < d0.
+    the walk mod d1 by j/d0, i.e. q/d + j/d0 = (q + j*d1)/d for j < d0.
 
     Requires den(x) composed of the profile's primes (hence coprime to the
     base). Raises InvariantError if the two constructions disagree; that
@@ -177,13 +188,11 @@ class DensityReport:
         }
 
 
-def cover_radius(points: Iterable[Fraction]) -> Fraction:
-    """Exact sup over x in [0,1] of the distance from x to the point set.
-
-    End gaps count at full length (nothing beyond the interval helps them),
-    interior gaps at half. The points are compared as integer numerators over
-    their common denominator (for an orbit, the start's denominator).
-    """
+def _cover(points: Iterable[Fraction]) -> tuple[list[int], int, Fraction]:
+    """The distinct points as ascending numerators over their common
+    denominator (for an orbit, the start's denominator), and the cover
+    radius: end gaps count at full length (nothing beyond the interval helps
+    them), interior gaps at half."""
     pts = list(points)
     if not pts:
         raise PreconditionError("cover radius of an empty point set")
@@ -193,16 +202,23 @@ def cover_radius(points: Iterable[Fraction]) -> Fraction:
         if not 0 <= n <= den:
             raise PreconditionError(f"{frac_str(Fraction(n, den))} outside [0,1]")
     gap = max((b - a for a, b in zip(nums, nums[1:])), default=0)
-    return Fraction(max(2 * nums[0], 2 * (den - nums[-1]), gap), 2 * den)
+    return nums, den, Fraction(max(2 * nums[0], 2 * (den - nums[-1]), gap), 2 * den)
+
+
+def cover_radius(points: Iterable[Fraction]) -> Fraction:
+    """Exact sup over x in [0,1] of the distance from x to the point set."""
+    return _cover(points)[2]
 
 
 def density_report(points: Sequence[Fraction], epsilon: Fraction) -> DensityReport:
     if epsilon <= 0:
         raise PreconditionError(f"epsilon must be positive, got {frac_str(epsilon)}")
-    pts = tuple(sorted(set(points)))
-    radius = cover_radius(pts)
+    nums, den, radius = _cover(points)
     return DensityReport(
-        points=pts, cover_radius=radius, epsilon=epsilon, is_dense=radius <= epsilon
+        points=tuple(Fraction(n, den) for n in nums),
+        cover_radius=radius,
+        epsilon=epsilon,
+        is_dense=radius <= epsilon,
     )
 
 

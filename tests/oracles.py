@@ -97,6 +97,24 @@ def orbit_oracle(base: int, x: Fraction) -> tuple[list[Fraction], int]:
     return points, seen[x]
 
 
+def witness_oracle(base: int, digits, x: Fraction):
+    """(preperiod, period) digit tuples of an expansion of x in [0, 1] using
+    only the given digits, or None: the greedy digits floor(b*y) along the
+    Fraction orbit, else the other expansion of a terminating x."""
+    good = set(digits)
+    if x == 1:
+        return ((), (base - 1,)) if base - 1 in good else None
+    points, cut = orbit_oracle(base, x)
+    greedy = [int(base * y) for y in points]
+    if good.issuperset(greedy):
+        return tuple(greedy[:cut]), tuple(greedy[cut:])
+    if points[cut] == 0 and cut:
+        head = greedy[:cut - 1] + [greedy[cut - 1] - 1]
+        if good.issuperset(head + [base - 1]):
+            return tuple(head), (base - 1,)
+    return None
+
+
 def coprime_part(d: int, base: int) -> int:
     """Largest divisor of d >= 1 coprime to base >= 2."""
     g = gcd(d, base)

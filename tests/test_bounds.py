@@ -1,8 +1,9 @@
 """Empirical constant reports and the growth threshold checks."""
 
 from fractions import Fraction
-from math import gcd, log, sqrt
+from math import gcd, log, prod, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from timesb.bounds import (
     BOUNDS_CSV_HEADER,
     aggregate_constants,
     bound_report,
+    member_bound_reports,
     stabilization_growth_check,
 )
 from timesb.cantor import DigitSet, reduced_members_up_to
@@ -125,3 +127,54 @@ def test_growth_check_property(data):
     subset = data.draw(st.sets(st.sampled_from(usable), min_size=1, max_size=4))
     ok, rows = stabilization_growth_check(build_profile(base, sorted(subset)))
     assert ok, rows
+
+
+def test_spf_table_prime_data_matches_bruteforce():
+    # the prime base 20011 is coprime to every d <= 2*10^4, and epsilon = 1
+    # keeps every d >= 3 (log log d needs d > e), so the stream reports P(d)
+    # and rad(d) for all of them
+    assert oracles.factor_bruteforce(20011) == ((20011, 1),)
+    rows = np.array([(1, d) for d in range(1, 20_001)], dtype=np.int64)
+    reports = member_bound_reports(20011, Fraction(1), rows)
+    assert [r.den for r in reports] == list(range(3, 20_001))
+    for r in reports:
+        factors = oracles.factor_bruteforce(r.den)
+        assert (r.largest_prime, r.radical) == (
+            factors[-1][0],
+            prod(p for p, _ in factors),
+        ), r.den
+
+
+@pytest.mark.parametrize(
+    "base, digits, T, eps",
+    [
+        (3, (0, 2), 3000, Fraction(1, 6)),
+        (3, (0, 2), 300, Fraction(7, 3)),
+        (6, (1, 2, 3, 4, 5), 300, None),
+        (10, tuple(range(9)), 600, None),
+        (5, (0, 2, 4), 2000, Fraction(1, 10)),
+    ],
+)
+def test_member_bound_reports_match_bound_report(base, digits, T, eps):
+    # the stream over the sieve's rows against bound_report on each Fraction
+    ds = DigitSet(base, digits)
+    eps = ds.epsilon_exact if eps is None else eps
+    members = reduced_members_up_to(ds, T)
+    want = [
+        bound_report(base, eps, x)
+        for x in members
+        if x.denominator > 1 and gcd(base, x.denominator) == 1
+    ]
+    want = [r for r in want if r is not None]
+    rows = np.array([(x.numerator, x.denominator) for x in members], dtype=np.int64)
+    assert member_bound_reports(base, eps, rows) == want
+    assert want
+
+
+def test_member_bound_reports_rejects_like_bound_report():
+    ds = DigitSet(3, (0, 2))
+    rows = np.array([(x.numerator, x.denominator) for x in reduced_members_up_to(ds, 50)])
+    with pytest.raises(PreconditionError, match="epsilon must be positive"):
+        member_bound_reports(3, Fraction(-1, 6), rows)
+    # no row coprime to the base and above 1: nothing to evaluate, no error
+    assert member_bound_reports(3, Fraction(-1, 6), rows[rows[:, 1] % 3 == 0]) == []

@@ -24,7 +24,7 @@ from timesb.errors import PreconditionError
 from timesb.numtheory import mult_order_bruteforce, vp
 from timesb.orders import build_profile, split_denominator
 
-from oracles import coprime_part, orbit_oracle
+from oracles import coprime_part, orbit_oracle, witness_oracle
 
 F = Fraction
 
@@ -414,3 +414,20 @@ def test_triadic_counts_small():
         dens = [3**j for j in range(0, n + 1)]
         count = sum(1 for _ in enumerate_members(C_MIDDLE, dens))
         assert count == 2 ** (n + 1)
+
+
+@pytest.mark.parametrize(
+    "base, digits",
+    [(3, (0, 2)), (6, (1, 2, 3, 4, 5)), (10, (0, 1, 2, 3, 4, 5, 6, 7, 8)), (4, (0, 3))],
+)
+def test_member_witness_matches_oracle(base, digits):
+    # every a/d with d <= 80, members and non-members, including the
+    # terminating values whose dual expansion uses a bad digit
+    ds = DigitSet(base, digits)
+    for d in range(1, 81):
+        for a in range(d + 1):
+            if math.gcd(a, d) != 1:
+                continue
+            w = member_witness(ds, F(a, d))
+            got = None if w is None else (w.preperiod, w.period)
+            assert got == witness_oracle(base, digits, F(a, d)), (a, d)

@@ -4,11 +4,20 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from timesb import cli
+from timesb.bounds import BOUNDS_CSV_HEADER, aggregate_constants, bound_report
+from timesb.cantor import DigitSet
+from timesb.rational import frac_str
+from timesb.sieve import members_up_to
+
+from oracles import witness_oracle
 
 
 def run_cli(capsys, *argv):
@@ -269,3 +278,118 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6
+
+
+def _fraction_route_members(ds, T, jobs):
+    # the sieve with the package's witness code replaced by the oracle's,
+    # its members sorted as Fractions
+    def oracle_check(n, d):
+        return witness_oracle(ds.base, ds.digits, Fraction(n, d)) is not None
+
+    rows = members_up_to(ds.base, ds.digits, T, oracle_check, jobs=jobs)
+    return sorted(Fraction(int(n), int(d)) for n, d in rows)
+
+
+def _old_enumerate_stdout(ds, members):
+    # the Fraction route: take each witness from a second membership pass
+    out = []
+    for x in members:
+        pre, period = witness_oracle(ds.base, ds.digits, x)
+        rec = {
+            "num": x.numerator,
+            "den": x.denominator,
+            "preperiod": list(pre),
+            "period": list(period),
+        }
+        out.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(out)
+
+
+def _old_bounds_stdout(ds, members, T, fmt):
+    # bound_report on each Fraction, factoring every d
+    eps = ds.epsilon_exact
+    reports = []
+    for x in members:
+        if x.denominator == 1 or gcd(ds.base, x.denominator) != 1:
+            continue
+        r = bound_report(ds.base, eps, x)
+        if r is not None:
+            reports.append(r)
+    summary = aggregate_constants(reports)
+    summary.update(
+        {"base": ds.base, "digits": list(ds.digits), "epsilon": frac_str(eps),
+         "max_den": T, "log": "natural"}
+    )
+    dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    if fmt == "json":
+        rows_json = [
+            {"a": r.num, "d": r.den, "P": r.largest_prime, "rad": r.radical,
+             "branch": r.branch, "K_emp": r.K_emp, "c_emp_rad": r.c_emp_rad,
+             "c_emp_P": r.c_emp_P}
+            for r in reports
+        ]
+        return dump({"rows": rows_json, "summary": summary}) + "\n"
+    lines = [BOUNDS_CSV_HEADER] + [r.csv_row(ds.digits) for r in reports]
+    return "\n".join(lines) + "\n\n" + dump(summary) + "\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "base, digits, T",
+    [
+        # 53/256 and other a/256 are members only through their dual expansion
+        (6, (1, 2, 3, 4, 5), 300),
+        (10, (0, 1, 2, 3, 4, 5, 6, 7, 8), 600),
+        (3, (0, 2), 3000),
+        # 7/32 = 0.11513 in base 6 ends a good leaf, but its greedy expansion
+        # goes on with 0s and its dual 0.11512(5) has a 2: a non-member
+        (6, (1, 3, 5), 60),
+    ],
+)
+def test_integer_stream_matches_fraction_route(capsys, base, digits, T, jobs):
+    ds = DigitSet(base, digits)
+    common = ("--base", str(base), "--digits", ",".join(map(str, digits)),
+              "--max-den", str(T), "--jobs", str(jobs))
+    members = _fraction_route_members(ds, T, jobs)
+    code, out, _ = run_cli(capsys, "enumerate", *common)
+    assert code == 0
+    assert out == _old_enumerate_stdout(ds, members)
+    if T == 300:
+        assert '"den":256,"num":53,"period":[5],' in out
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, "bounds", *common, "--format", fmt)
+        assert code == 0
+        assert out == _old_bounds_stdout(ds, members, T, fmt)
+
+
+def test_enumerate_rejects_row_without_good_expansion(capsys, monkeypatch):
+    # 1/36 = 0.01 in base 6 and its dual 0.00555... both use the digit 0, so a
+    # sieve that let it through must end in an invariant failure, not a line
+    real = cli._member_pairs
+
+    def with_intruder(ds, T, jobs):
+        return np.concatenate([real(ds, T, jobs), [[1, 36]]])
+
+    monkeypatch.setattr(cli, "_member_pairs", with_intruder)
+    code, out, err = run_cli(
+        capsys, "enumerate", "--base", "6", "--digits", "1,2,3,4,5", "--max-den", "40"
+    )
+    assert code == 3 and out == ""
+    assert "1/36" in err
+
+
+def test_enumerate_and_bounds_stdout_match_benchmark_digests(capsys):
+    # the head entry of each enumerate and bounds slot of the benchmark,
+    # against the stdout sha256 the benchmark recorded
+    expected = json.loads(
+        (Path(__file__).parent.parent / "perfbench" / "expected.json").read_text()
+    )
+    keys = (
+        "enumerate --base 3 --digits 0,2 --max-den 99700 --jobs 2",
+        "bounds --base 3 --digits 0,2 --epsilon 1/6 --max-den 100000 --jobs 2",
+        "enumerate --base 5 --digits 0,2,4 --max-den 29850 --jobs 2",
+    )
+    for key in keys:
+        code, out, _ = run_cli(capsys, *key.split())
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[key], key

@@ -1,5 +1,6 @@
 """Interval sieve vs naive scans, plus the counting conventions."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from timesb.cantor import (
     DigitSet,
+    _by_value,
     count_members_up_to,
     count_report,
     enumerate_members,
@@ -299,3 +301,21 @@ def test_rejections():
         members_up_to(3, (0, 3), 10, lambda n, d: True)
     with pytest.raises(PreconditionError):
         members_up_to(3, (0, 2), 10, lambda n, d: True, jobs=0)
+
+
+def test_by_value_repairs_float_ties():
+    # n/(2n+1) and (n+1)/(2n+1) for n near 2^30 lie within 2^-62 of their
+    # neighbours, far below the float spacing at 1/2, so their keys collide
+    rng = random.Random(5)
+    n0 = 2**30 - 64
+    fracs = [Fraction(n, 2 * n + 1) for n in range(n0, n0 + 40)]
+    fracs += [Fraction(n + 1, 2 * n + 1) for n in range(n0, n0 + 40)]
+    fracs += [Fraction(1, 2), Fraction(0), Fraction(1), Fraction(1, 3)]
+    fracs += [Fraction(a, 2**31 - 1) for a in rng.sample(range(1, 2**31 - 1), 40)]
+    rng.shuffle(fracs)
+    rows = np.array([(x.numerator, x.denominator) for x in fracs], dtype=np.int64)
+    keys = rows[:, 0] / rows[:, 1]
+    assert len(set(keys.tolist())) < len(fracs) - 60
+    got = [Fraction(int(n), int(d)) for n, d in _by_value(rows)]
+    assert got == sorted(fracs)
+    assert _by_value(rows[:0]).shape == (0, 2)
