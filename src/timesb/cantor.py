@@ -26,17 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import gcd
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .numtheory import Factorization, factorize
 from .orbit import _remainder_walk, density_bound
 from .orders import OrderProfile, split_denominator
 from .rational import frac_str
-from .sieve import members_up_to
+from .sieve import _walk, members_up_to
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,12 @@ def _witness_digits(ds: DigitSet, num: int, den: int) -> tuple[list, list] | Non
     b, good = ds.base, ds._good
     if num == den:
         return ([], [b - 1]) if good[b - 1] else None
-    rems, cut = _remainder_walk(b, num, den)
+    # a den with a prime outside the base's divides no power of b: then the
+    # greedy expansion is the only one and the walk stops at its first bad digit
+    stop = good if pow(b, den.bit_length(), den) else None
+    rems, cut = _remainder_walk(b, num, den, stop)
+    if cut is None:
+        return None
     digits = [b * r // den for r in rems]
     if all(good[d] for d in digits):
         return digits[:cut], digits[cut:]
@@ -264,35 +268,32 @@ def member(ds: DigitSet, x: Fraction) -> bool:
     return member_witness(ds, x) is not None
 
 
-def _coset_members(ds: DigitSet, d: int) -> list[tuple[int, tuple[int, ...]]]:
-    # gcd(d, base) = 1 and d > 1: every reduced a/d is purely periodic and the
-    # multiplication-by-base orbit of a numerator cycles through the digit
-    # rotations, so one walk settles membership for the whole coset.
-    b = ds.base
-    good = ds._good
-    visited = bytearray(d)
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for a0 in range(1, d):
-        if visited[a0] or gcd(a0, d) != 1:
-            continue
-        coset: list[int] = []
-        digs: list[int] = []
-        ok = True
-        a = a0
-        while not visited[a]:
-            visited[a] = 1
-            coset.append(a)
-            t = b * a
-            dig = t // d
-            if not good[dig]:
-                ok = False
-            digs.append(dig)
-            a = t % d
-        if ok:
-            for i, a_i in enumerate(coset):
-                out.append((a_i, tuple(digs[i:] + digs[:i])))
-    out.sort()
-    return out
+_SLICE = 1 << 12  # rows per walk in enumerate_members
+
+
+def _unit_slices(dens: list[int]) -> Iterator[np.ndarray]:
+    """(num, den) int64 rows of every reduced a/d with 0 <= a <= d, the
+    denominators in the given order and each one's numerators ascending.
+
+    Numerators come in blocks of at most _SLICE, their units picked by one
+    strided mask per prime of d; blocks of several denominators are joined
+    until a slice holds at least _SLICE rows.
+    """
+    parts, size = [], 0
+    for d in dens:
+        primes = factorize(d).primes
+        for lo in range(0, d + 1, _SLICE):
+            keep = np.ones(min(_SLICE, d + 1 - lo), dtype=bool)
+            for p in primes:
+                keep[-lo % p :: p] = False
+            num = lo + np.flatnonzero(keep)
+            parts.append(np.stack([num, np.full_like(num, d)], axis=1))
+            size += num.size
+            if size >= _SLICE:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
 
 
 def enumerate_members(
@@ -302,27 +303,23 @@ def enumerate_members(
 
     Yields (fraction, certifying expansion) pairs, denominators in the given
     order, numerators ascending. Denominator 1 contributes the endpoints.
+    Membership comes from the sieve's vectorized walk, one slice of rows at
+    a time; the witness is computed for members only.
     """
-    seen: set[int] = set()
-    for d in denominators:
-        if d < 1:
-            raise PreconditionError(f"denominator must be >= 1, got {d}")
-        if d in seen:
-            raise PreconditionError(f"duplicate denominator {d}")
-        seen.add(d)
-        if d > 1 and gcd(d, ds.base) == 1:
-            for a, period in _coset_members(ds, d):
-                yield Fraction(a, d), ExpansionInfo(
-                    base=ds.base, preperiod=(), period=period
-                )
-            continue
-        # d = 1 keeps 0 and 1, any larger d its numerators 1..d-1
-        for a in range(d + 1):
-            if gcd(a, d) != 1:
-                continue
-            w = member_witness(ds, Fraction(a, d))
-            if w is not None:
-                yield Fraction(a, d), w
+    dens = list(denominators)
+    for d in dens:
+        if not 1 <= d <= 2**62 // ds.base:
+            raise PreconditionError(f"denominator {d} outside 1..2^62/base")
+    if len(set(dens)) != len(dens):
+        raise PreconditionError("duplicate denominator")
+    for rows in _unit_slices(dens):
+        hit = _walk(ds.base, ds.digits, rows[:, 0], rows[:, 1])
+        for a, d in rows[hit].tolist():
+            x = Fraction(a, d)
+            w = member_witness(ds, x)
+            if w is None:
+                raise InvariantError(f"walk member {a}/{d} has no expansion in {ds}")
+            yield x, w
 
 
 def _smooth_factorizations(primes: Iterable[int], limit: int) -> list[tuple[int, tuple]]:
@@ -490,13 +487,6 @@ def _count_coprime_upto(limit: np.ndarray, base: int) -> np.ndarray:
     return total
 
 
-def _member_pairs(ds: DigitSet, T: int, jobs: int) -> np.ndarray:
-    """The sieve's (num, den) rows of every member with den <= T."""
-    return members_up_to(
-        ds.base, ds.digits, T, lambda num, den: member(ds, Fraction(num, den)), jobs=jobs
-    )
-
-
 def _by_value(rows: np.ndarray) -> np.ndarray:
     """(num, den) int64 rows of distinct fractions in [0, 1], sorted by value.
 
@@ -525,7 +515,8 @@ def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]
     full digit set is rejected there (everything is a member, enumerating
     ~0.3*T^2 fractions is pointless).
     """
-    return [Fraction(n, d) for n, d in _by_value(_member_pairs(ds, T, jobs)).tolist()]
+    rows = _by_value(members_up_to(ds.base, ds.digits, T, jobs))
+    return [Fraction(n, d) for n, d in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -610,7 +601,7 @@ def count_report(
         raise PreconditionError(f"max denominator must be >= 1, got {T}")
     if ds.is_full:
         return _full_set_count(ds, T, coprime_to_b_only)
-    den = _member_pairs(ds, T, jobs)[:, 1]
+    den = members_up_to(ds.base, ds.digits, T, jobs)[:, 1]
     if coprime_to_b_only:
         den = den[np.gcd(den, ds.base) == 1]
         reps = _count_coprime_upto(T // den, ds.base)

@@ -29,7 +29,6 @@ from .bounds import (
 from .cantor import (
     DigitSet,
     _by_value,
-    _member_pairs,
     _witness_digits,
     count_report,
     dual_expansion,
@@ -45,6 +44,7 @@ from .numtheory import factorize, mult_order_bruteforce
 from .orbit import decompose, density_bound, orbit
 from .orders import build_profile, order_from_profile
 from .rational import frac_str, parse_fraction
+from .sieve import members_up_to
 
 BRUTE_VERIFY_LIMIT = 10**6
 
@@ -223,8 +223,9 @@ def _enumerate_rows(args, ds: DigitSet) -> list[tuple]:
             "enumerate needs exactly one of --den-form, --max-den, --denominators"
         )
     if args.max_den:
+        pairs = members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
         rows = []
-        for num, den in _by_value(_member_pairs(ds, args.max_den, args.jobs)).tolist():
+        for num, den in _by_value(pairs).tolist():
             w = _witness_digits(ds, num, den)
             if w is None:
                 raise InvariantError(
@@ -286,7 +287,7 @@ def cmd_bounds(args) -> int:
     eps = args.epsilon if args.epsilon is not None else ds.epsilon_exact
     if args.max_den >= 10**5:
         _progress(f"enumerating members up to {args.max_den} for bound reports")
-    rows = _by_value(_member_pairs(ds, args.max_den, args.jobs))
+    rows = _by_value(members_up_to(ds.base, ds.digits, args.max_den, args.jobs))
     reports = member_bound_reports(ds.base, eps, rows)
     summary = aggregate_constants(reports) if reports else {"count": 0}
     summary.update(
@@ -364,22 +365,26 @@ def _verify_reconstruction(rng: random.Random, trials: int) -> None:
             raise InvariantError(f"expansion of {x} in base {b} does not reconstruct")
 
 
-def _verify_cosets(rng: random.Random, trials: int) -> None:
-    from .cantor import member  # local import keeps the hot path below tidy
+def _scan_members(ds: DigitSet, dens) -> list[Fraction]:
+    """Every reduced member a/d over dens, ascending, one scalar membership
+    test each: the route that does not use the vectorized walk."""
+    return sorted(
+        Fraction(a, d)
+        for d in dens
+        for a in range(d + 1)
+        if gcd(a, d) == 1 and _witness_digits(ds, a, d) is not None
+    )
 
+
+def _verify_cosets(rng: random.Random, trials: int) -> None:
     for _ in range(trials):
         b = rng.randrange(2, 7)
         size = rng.randrange(1, b)
         digits = tuple(sorted(rng.sample(range(b), size)))
         ds = DigitSet(b, digits)
         d = rng.randrange(2, 400)
-        got = {x for x, _ in enumerate_members(ds, [d])}
-        want = {
-            Fraction(a, d)
-            for a in range(1, d)
-            if gcd(a, d) == 1 and member(ds, Fraction(a, d))
-        }
-        if got != want:
+        got = [x for x, _ in enumerate_members(ds, [d])]
+        if got != _scan_members(ds, [d]):
             raise InvariantError(f"coset enumeration mismatch at base {b} d {d}")
 
 
@@ -405,18 +410,17 @@ def _verify_lattice_exclusion(rng: random.Random, trials: int) -> None:
 
 
 def _verify_sieve(rng: random.Random, trials: int) -> None:
-    # the sieve's resumed descents, pruning and leaf walks against a plain
-    # walk of every denominator up to T
+    # the sieve's resumed descents, pruning and leaf walks against the
+    # scalar membership test of every a/d with d <= T
     for _ in range(trials):
         b = rng.randrange(2, 11)
         digits = tuple(sorted(rng.sample(range(b), rng.randrange(1, b))))
         ds = DigitSet(b, digits)
         T = rng.randrange(1, 301)
         got = reduced_members_up_to(ds, T)
-        want = sorted(x for x, _ in enumerate_members(ds, range(1, T + 1)))
-        if got != want:
+        if got != _scan_members(ds, range(1, T + 1)):
             raise InvariantError(
-                f"sieve differs from the coset walk: base {b} digits {digits} T {T}"
+                f"sieve differs from the scalar scan: base {b} digits {digits} T {T}"
             )
 
 

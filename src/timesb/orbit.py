@@ -33,17 +33,32 @@ def _require_unit_interval(x: Fraction) -> None:
         raise PreconditionError(f"{frac_str(x)} outside [0,1)")
 
 
-def _remainder_walk(base: int, num: int, den: int) -> tuple[list[int], int]:
+def _remainder_walk(
+    base: int, num: int, den: int, good: Sequence[bool] | None = None
+) -> tuple[list[int], int | None]:
     """Remainders num, b*num mod den, ... up to the first repeat, and the
-    index where the cycle starts (the preperiod)."""
+    index where the cycle starts (the preperiod). Given a digit table good,
+    the walk ends with index None at the first remainder r whose digit
+    b*r // den is not good."""
     seen: dict[int, int] = {}
     rems: list[int] = []
     r = num
     while r not in seen:
+        if good is not None and not good[base * r // den]:
+            return rems, None
         seen[r] = len(rems)
         rems.append(r)
         r = base * r % den
     return rems, seen[r]
+
+
+def _point_strs(remainders: Iterable[int], den: int) -> list[str]:
+    """Each point r/den as frac_str prints it, with one gcd per point."""
+    out = []
+    for r in remainders:
+        g = gcd(r, den)
+        out.append(str(r // g) if g == den else f"{r // g}/{den // g}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,15 +82,10 @@ class OrbitInfo:
         return self.points[self.preperiod :]
 
     def to_json_dict(self) -> dict:
-        den = self.start.denominator
-        points = []
-        for r in self.remainders:
-            g = gcd(r, den)
-            points.append(str(r // g) if g == den else f"{r // g}/{den // g}")
         return {
             "base": self.base,
             "start": frac_str(self.start),
-            "points": points,
+            "points": _point_strs(self.remainders, self.start.denominator),
             "preperiod": self.preperiod,
             "period": self.period,
         }
@@ -101,26 +111,34 @@ class OrbitDecomposition:
     """The two descriptions of a purely periodic orbit, verified equal.
 
     a1 is the orbit as iterated; a2 rebuilds it from the capped-part orbit
-    plus offsets j/d0. Both are stored sorted, once they compare equal.
+    plus offsets j/d0. Once they compare equal, both are the sorted
+    remainders r of the points r/den(start), stored once.
     """
 
     base: int
     start: Fraction
     split: DenominatorSplit
     order: int
-    a1: tuple[Fraction, ...]
-    a2: tuple[Fraction, ...]
+    remainders: tuple[int, ...]
+
+    @property
+    def a1(self) -> tuple[Fraction, ...]:
+        den = self.start.denominator
+        return tuple(Fraction(r, den) for r in self.remainders)
+
+    a2 = a1
 
     def to_json_dict(self) -> dict:
+        points = _point_strs(self.remainders, self.start.denominator)
         return {
             "base": self.base,
             "fraction": frac_str(self.start),
             "d0": self.split.d0,
             "d1": self.split.d1,
             "order": self.order,
-            "a1": [frac_str(p) for p in self.a1],
-            "a2": [frac_str(p) for p in self.a2],
-            "a1_equals_a2": self.a1 == self.a2,
+            "a1": points,
+            "a2": points,
+            "a1_equals_a2": True,  # decompose raises when they differ
         }
 
 
@@ -164,9 +182,8 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
         )
     if a1 != a2:
         raise InvariantError(f"A1 != A2 for base {profile.base}, x = {frac_str(x)}")
-    points = tuple(Fraction(r, d) for r in a1)
     return OrbitDecomposition(
-        base=profile.base, start=x, split=split, order=order, a1=points, a2=points
+        base=profile.base, start=x, split=split, order=order, remainders=tuple(a1)
     )
 
 

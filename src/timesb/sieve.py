@@ -42,26 +42,32 @@ coefficients summing to b, so at most b*S, its own scale. All entries are
 thus at most base^L < 2^62 (enforced), and the sums a step forms (such as
 a*k1 + k0 for a not-yet-finished descent, at most 2*S) stay below 2^63.
 
-Candidates whose denominator has no prime outside the base's terminate, so
-they have a second expansion, which may leave the tree; they are returned to
-the caller for a full membership check. Such a denominator need not divide
-base^L (a/256 in base 6 at L = 7), so the two expansions may part only past
-depth L. Every other candidate lies strictly inside its leaf, so its unique
-expansion starts with the leaf's L good digits and continues with the digits
-of the remainders r = num*base^L mod den, an eventually periodic sequence. A
-vectorized Brent cycle walk settles all of them at once: each round steps
-every live row (digit t // den and new r = t mod den for t = base*r), drops
-a row at its first bad digit, and keeps it as a member once r returns to its
+Each surviving leaf's candidate num/den is settled by one walk over the
+remainders r -> base*r mod den, whose digits t // den (t = base*r) are the
+expansion's. A denominator with a prime outside the base's puts the
+candidate strictly inside its leaf, so its unique expansion starts with the
+leaf's L good digits and the walk starts at r = num*base^L mod den. Any other
+candidate terminates and has a second expansion, which may leave the tree
+(a/256 in base 6 at L = 7 parts from its leaf only past depth L), so its walk
+starts at r = num and settles both expansions.
+
+The walk (`_walk`) is vectorized over (r, den) rows and also settles the
+rows `timesb.cantor.enumerate_members` builds. Each round steps every live
+row and drops it at its first bad digit. A row ends when r reaches 0 after
+digit c: it is a member iff c and 0 are allowed (the greedy expansion) or
+c >= 1 and c-1 and base-1 are (the dual, ..(c-1)(base-1)(base-1)..). Other
+rows follow a Brent cycle check: a row is a member once r returns to its
 checkpoint, which is reset to r after steps 1, 2, 4, 8, ... A return means
-the checkpoint lies on the cycle and every remainder of the preperiod and the
-cycle has produced a good digit. A row with preperiod mu and cycle length
-lambda finishes within about mu + 2*lambda rounds.
+the checkpoint lies on the cycle and every remainder of the preperiod and
+the cycle has produced a good digit, so a row with preperiod mu and cycle
+length lambda finishes within about mu + 2*lambda rounds. The value 1
+(r = den) is a member iff base-1 is allowed.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,6 +150,38 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return a * final[4] + final[5], a * final[6] + final[7], final
 
 
+def _walk(base: int, digits: Sequence[int], r: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Member mask of int64 rows (r, den), 0 <= r <= den, each the value
+    r/den with all digits so far good (see the module docstring)."""
+    good = np.zeros(base, dtype=bool)
+    good[list(digits)] = True
+    one = r == den
+    row = np.flatnonzero(~one)
+    kept = [np.flatnonzero(one) if good[base - 1] else row[:0]]
+    d, r = den[row], r[row]
+    check = r
+    step, reset = 0, 1
+    while row.size:
+        c, r = np.divmod(base * r, d)
+        ok = good[c]
+        end = r == 0
+        if end.any():
+            c = c[end]
+            dual = (c >= 1) & good[c - 1] & good[base - 1]
+            kept.append(row[end][ok[end] & good[0] | dual])
+            ok &= ~end
+        back = ok & (r == check)
+        kept.append(row[back])
+        live = np.flatnonzero(ok ^ back)
+        row, d, r, check = row[live], d[live], r[live], check[live]
+        step += 1
+        if step == reset:
+            check, reset = r, 2 * reset
+    hit = np.zeros(den.size, dtype=bool)
+    hit[np.concatenate(kept)] = True
+    return hit
+
+
 def _descend_chunk(
     base: int,
     digits: tuple[int, ...],
@@ -151,13 +189,9 @@ def _descend_chunk(
     L: int,
     depth: int,
     state: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """From frontier states at the given depth down to the leaves.
-
-    Returns (members, boundary): members are (num, den) pairs verified by the
-    interior cycle walk; boundary pairs have no prime factor outside the
-    base's and need the caller's exact membership check.
-    """
+) -> np.ndarray:
+    """From frontier states at the given depth down to the leaves; returns
+    the (num, den) rows of the leaf candidates that are members."""
     # frontier states are final already, so this first pass takes no step
     num, den, state = _descend(state, T)
     for _ in range(depth, L):
@@ -172,33 +206,9 @@ def _descend_chunk(
     while (g > 1).any():
         rest = rest // g
         g = np.gcd(rest, g)
-    on_boundary = rest == 1
-    boundary = np.stack([num[on_boundary], den[on_boundary]], axis=1)
-
-    # Brent cycle walk on the remainders past depth L: a row is a member once
-    # its remainder returns to the checkpoint with every digit so far good
-    num, den = num[~on_boundary], den[~on_boundary]
-    r = num * (scale % den) % den  # < T^2 < base^L
-    good = np.zeros(base, dtype=bool)
-    good[list(digits)] = True
-    row, d, check = np.arange(r.size), den, r
-    kept = [row[:0]]
-    step, reset = 0, 1
-    while r.size:
-        t = base * r
-        digit = t // d
-        r = t - digit * d
-        ok = good[digit]
-        back = ok & (r == check)
-        kept.append(row[back])
-        live = np.flatnonzero(ok & ~back)
-        row, d, r, check = row[live], d[live], r[live], check[live]
-        step += 1
-        if step == reset:
-            check, reset = r, 2 * reset
-    hit = np.concatenate(kept)
-    members = np.stack([num[hit], den[hit]], axis=1)
-    return members, boundary
+    r = np.where(rest == 1, num, num * (scale % den) % den)  # < T^2 < base^L
+    hit = _walk(base, digits, r, den)
+    return np.stack([num[hit], den[hit]], axis=1)
 
 
 def _run_chunk(args):
@@ -206,18 +216,11 @@ def _run_chunk(args):
 
 
 def members_up_to(
-    base: int,
-    digits: Sequence[int],
-    T: int,
-    boundary_check: Callable[[int, int], bool],
-    jobs: int = 1,
+    base: int, digits: Sequence[int], T: int, jobs: int = 1
 ) -> np.ndarray:
     """All reduced members (num, den) with den <= T, sorted by (den, num).
 
-    boundary_check(num, den) must decide exact membership; it is consulted
-    only for candidates whose denominator has no prime outside the base's
-    (where a second digit expansion can exist). Output is identical for every
-    jobs value.
+    Output is identical for every jobs value.
     """
     digits = tuple(sorted(set(int(x) for x in digits)))
     if base < 2 or not digits or digits[0] < 0 or digits[-1] >= base:
@@ -254,32 +257,9 @@ def members_up_to(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_chunk, tasks, chunksize=1))
 
-    member_parts = [m for m, _ in results]
-    boundary_parts = [bnd for _, bnd in results]
-    members = (
-        np.concatenate(member_parts)
-        if member_parts
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    boundary = (
-        np.concatenate(boundary_parts)
-        if boundary_parts
-        else np.empty((0, 2), dtype=np.int64)
-    )
-
-    if boundary.size:
-        packed = boundary[:, 0] * np.int64(T + 1) + boundary[:, 1]
-        _, first = np.unique(packed, return_index=True)
-        boundary = boundary[first]
-        ok = [
-            boundary_check(int(nu), int(de))
-            for nu, de in zip(boundary[:, 0], boundary[:, 1])
-        ]
-        members = np.concatenate([members, boundary[np.asarray(ok, dtype=bool)]])
-
+    members = np.concatenate(results) if results else np.empty((0, 2), np.int64)
     if members.size == 0:
         return members.reshape(0, 2)
     packed = members[:, 1] * np.int64(T + 1) + members[:, 0]
-    packed = np.unique(packed)
-    out = np.stack([packed % (T + 1), packed // (T + 1)], axis=1)
-    return out
+    packed = np.unique(packed)  # also drops a boundary row two leaves share
+    return np.stack([packed % (T + 1), packed // (T + 1)], axis=1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timesb import cantor
 from timesb.cantor import (
     DigitSet,
     ExpansionInfo,
@@ -240,6 +241,46 @@ def test_enumerate_members_matches_naive_scan():
             if math.gcd(a, d) == 1 and member(C_MIDDLE, F(a, d)):
                 naive.add(F(a, d))
     assert fast == naive
+
+
+def _walk_and_oracle(ds, dens):
+    got = [(x, w.preperiod, w.period) for x, w in enumerate_members(ds, dens)]
+    want = []
+    for d in dens:
+        for a in range(d + 1):
+            w = witness_oracle(ds.base, ds.digits, F(a, d)) if math.gcd(a, d) == 1 else None
+            if w is not None:
+                want.append((F(a, d), *w))
+    return got, want
+
+
+@pytest.mark.parametrize("base", range(2, 11))
+def test_enumerate_members_walk_matches_oracle(base):
+    # d = 1, powers of b, multiples of b and d coprime to b, in one walk;
+    # b-1 allowed and 0 not (2/3 in base 3 {1,2} is a member through its
+    # dual 0.1222..., 0 is no member), 0 allowed and b-1 not (1 is none),
+    # and a random proper digit set
+    rng = random.Random(base)
+    coprime = [d for d in range(2, 120) if math.gcd(d, base) == 1]
+    dens = [1, base, base**2, base**3]
+    dens += [base * m for m in rng.sample(range(2, 40), 6) if base * m not in dens]
+    dens += rng.sample(coprime, 6)
+    rng.shuffle(dens)
+    for digits in (
+        tuple(range(1, base)),
+        tuple(range(base - 1)),
+        tuple(sorted(rng.sample(range(base), rng.randrange(1, base)))),
+    ):
+        got, want = _walk_and_oracle(DigitSet(base, digits), dens)
+        assert got == want, digits
+
+
+def test_enumerate_members_walk_spans_slices():
+    # 27027 = 3^3*7*11*13 divides 10^6 - 1, so each a/27027 repeats the six
+    # digits of 37*a; its units fill several walk slices and some are members
+    got, want = _walk_and_oracle(DigitSet(10, (1, 3, 5, 7, 9)), [27027])
+    assert 27027 > 2 * cantor._SLICE
+    assert got == want and len(got) > 0
 
 
 def test_enumerate_members_rejects_duplicates():

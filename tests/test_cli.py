@@ -17,7 +17,7 @@ from timesb.cantor import DigitSet
 from timesb.rational import frac_str
 from timesb.sieve import members_up_to
 
-from oracles import witness_oracle
+from oracles import coprime_part, witness_oracle
 
 
 def run_cli(capsys, *argv):
@@ -281,13 +281,23 @@ def test_module_entry_point():
 
 
 def _fraction_route_members(ds, T, jobs):
-    # the sieve with the package's witness code replaced by the oracle's,
-    # its members sorted as Fractions
-    def oracle_check(n, d):
-        return witness_oracle(ds.base, ds.digits, Fraction(n, d)) is not None
+    # the sieve's members whose denominator has a prime outside the base's,
+    # and, deciding the boundary rows without the sieve's walk, every a/d
+    # with d <= T over the base's primes that the oracle accepts; sorted as
+    # Fractions
+    def smooth(d):
+        return coprime_part(d, ds.base) == 1
 
-    rows = members_up_to(ds.base, ds.digits, T, oracle_check, jobs=jobs)
-    return sorted(Fraction(int(n), int(d)) for n, d in rows)
+    rows = members_up_to(ds.base, ds.digits, T, jobs=jobs).tolist()
+    members = [Fraction(n, d) for n, d in rows if not smooth(d)]
+    members += [
+        Fraction(a, d)
+        for d in range(1, T + 1)
+        if smooth(d)
+        for a in range(d + 1)
+        if gcd(a, d) == 1 and witness_oracle(ds.base, ds.digits, Fraction(a, d))
+    ]
+    return sorted(members)
 
 
 def _old_enumerate_stdout(ds, members):
@@ -365,12 +375,12 @@ def test_integer_stream_matches_fraction_route(capsys, base, digits, T, jobs):
 def test_enumerate_rejects_row_without_good_expansion(capsys, monkeypatch):
     # 1/36 = 0.01 in base 6 and its dual 0.00555... both use the digit 0, so a
     # sieve that let it through must end in an invariant failure, not a line
-    real = cli._member_pairs
+    real = cli.members_up_to
 
-    def with_intruder(ds, T, jobs):
-        return np.concatenate([real(ds, T, jobs), [[1, 36]]])
+    def with_intruder(base, digits, T, jobs):
+        return np.concatenate([real(base, digits, T, jobs), [[1, 36]]])
 
-    monkeypatch.setattr(cli, "_member_pairs", with_intruder)
+    monkeypatch.setattr(cli, "members_up_to", with_intruder)
     code, out, err = run_cli(
         capsys, "enumerate", "--base", "6", "--digits", "1,2,3,4,5", "--max-den", "40"
     )
@@ -378,18 +388,32 @@ def test_enumerate_rejects_row_without_good_expansion(capsys, monkeypatch):
     assert "1/36" in err
 
 
+def _benchmark_digests():
+    # the stdout sha256 of each benchmark request, as the benchmark recorded it
+    path = Path(__file__).parent.parent / "perfbench" / "expected.json"
+    return json.loads(path.read_text())
+
+
+def _assert_stdout_digests(capsys, expected, keys):
+    assert keys
+    for key in keys:
+        code, out, _ = run_cli(capsys, *key.split())
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[key], key
+
+
 def test_enumerate_and_bounds_stdout_match_benchmark_digests(capsys):
-    # the head entry of each enumerate and bounds slot of the benchmark,
-    # against the stdout sha256 the benchmark recorded
-    expected = json.loads(
-        (Path(__file__).parent.parent / "perfbench" / "expected.json").read_text()
-    )
+    # the head entry of each enumerate and bounds slot of the benchmark
     keys = (
         "enumerate --base 3 --digits 0,2 --max-den 99700 --jobs 2",
         "bounds --base 3 --digits 0,2 --epsilon 1/6 --max-den 100000 --jobs 2",
         "enumerate --base 5 --digits 0,2,4 --max-den 29850 --jobs 2",
     )
-    for key in keys:
-        code, out, _ = run_cli(capsys, *key.split())
-        assert code == 0, key
-        assert hashlib.sha256(out.encode()).hexdigest() == expected[key], key
+    _assert_stdout_digests(capsys, _benchmark_digests(), keys)
+
+
+def test_certify_and_member_stdout_match_benchmark_digests(capsys):
+    # every certify entry of the benchmark and its no-work member request
+    expected = _benchmark_digests()
+    keys = [k for k in expected if k.startswith(("certify ", "member "))]
+    _assert_stdout_digests(capsys, expected, keys)
