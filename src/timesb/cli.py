@@ -7,7 +7,8 @@ quantities travel as "a/d" strings; floating point appears only in the
 empirical-constant reports.
 
 Exit codes: 0 success, 2 precondition violation (including argument
-errors), 3 internal invariant failure.
+errors) or out of memory, 3 internal invariant failure or a dead worker
+process.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import random
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from math import gcd, prod
 
@@ -213,8 +215,16 @@ def cmd_expand(args) -> int:
 _DEN_FORM_HELP = "denominator family like 2^k (with --max-exp bounding k)"
 
 
-def _enumerate_rows(args, ds: DigitSet) -> list[tuple]:
-    """(num, den, preperiod, period) of every member, value-ascending."""
+def _json_line(num: int, den: int, pre, period) -> str:
+    # the bytes of _emit's sorted-key JSON, written directly for int fields
+    return (
+        f'{{"den":{den},"num":{num},"period":[{",".join(map(str, period))}],'
+        f'"preperiod":[{",".join(map(str, pre))}]}}\n'
+    )
+
+
+def _enumerate_lines(args, ds: DigitSet) -> list[str]:
+    """The JSON line of every member, value-ascending."""
     sources = sum(
         1 for flag in (args.den_form, args.max_den, args.denominators) if flag
     )
@@ -224,15 +234,15 @@ def _enumerate_rows(args, ds: DigitSet) -> list[tuple]:
         )
     if args.max_den:
         pairs = members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
-        rows = []
+        lines = []
         for num, den in _by_value(pairs).tolist():
             w = _witness_digits(ds, num, den)
             if w is None:
                 raise InvariantError(
                     f"sieve member {num}/{den} has no expansion in digits {ds.digits}"
                 )
-            rows.append((num, den, *w))
-        return rows
+            lines.append(_json_line(num, den, *w))
+        return lines
     if args.den_form:
         head, sep, tail = args.den_form.partition("^")
         if sep != "^" or tail != "k" or not head.isdigit() or int(head) < 2:
@@ -244,17 +254,17 @@ def _enumerate_rows(args, ds: DigitSet) -> list[tuple]:
     else:
         dens = args.denominators
     pairs = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
-    return [(x.numerator, x.denominator, w.preperiod, w.period) for x, w in pairs]
+    return [
+        _json_line(x.numerator, x.denominator, w.preperiod, w.period)
+        for x, w in pairs
+    ]
 
 
 def cmd_enumerate(args) -> int:
     ds = DigitSet(args.base, tuple(args.digits))
-    # the bytes of _emit's sorted-key JSON, written directly for int fields
-    sys.stdout.writelines(
-        f'{{"den":{den},"num":{num},"period":[{",".join(map(str, period))}],'
-        f'"preperiod":[{",".join(map(str, pre))}]}}\n'
-        for num, den, pre, period in _enumerate_rows(args, ds)
-    )
+    # every line is built before the first is written, so that a row with
+    # no good expansion leaves stdout empty
+    sys.stdout.writelines(_enumerate_lines(args, ds))
     return 0
 
 
@@ -554,6 +564,12 @@ def main(argv=None) -> int:
         return 2
     except InvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("out of memory: ask for less work", file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f"a worker process died: {exc}", file=sys.stderr)
         return 3
 
 

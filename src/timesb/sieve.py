@@ -62,18 +62,35 @@ the checkpoint lies on the cycle and every remainder of the preperiod and
 the cycle has produced a good digit, so a row with preperiod mu and cycle
 length lambda finishes within about mu + 2*lambda rounds. The value 1
 (r = den) is a member iff base-1 is allowed.
+
+The tree is walked depth first over blocks of columns under a fixed budget.
+A task pops a (depth, state) block, expands at most _BUDGET // k of its
+columns (k digits) through one `_children` and one `_descend` call, pushes
+the rest of the block back and the surviving children one level down. No
+call sees more than _BUDGET columns (k if k > _BUDGET), and since the
+stack's depths rise strictly from bottom to top it holds at most one block
+per level: peak memory is about _BUDGET * L columns of 64 bytes, whatever
+the digit set. The rest is pushed as a copy, because a view would keep the
+whole popped block alive until the rest is popped. Leaf candidates go to
+the walk each time at least _BUDGET rows are held, and once at the end.
+With jobs > 1 the tree is first grown breadth first to a frontier of at
+most _FRONTIER columns, which is cut into at most 4*jobs contiguous slices,
+one task each; the final sort makes the output the same for every split.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantError, PreconditionError
 
-_CHUNK_NODES = 8  # frontier nodes per worker task
+_BUDGET = 1 << 13  # columns of one _children or _descend call
+_FRONTIER = 1024  # columns of the frontier cut into parallel tasks
 _MAX_STEPS = 200  # a denominator below 2^62 has fewer than 92 partial quotients
 
 # descent state of the root interval [0, 1]: rows u1, u2, v1, v2, h1, h0, k1, k0
@@ -182,22 +199,12 @@ def _walk(base: int, digits: Sequence[int], r: np.ndarray, den: np.ndarray) -> n
     return hit
 
 
-def _descend_chunk(
-    base: int,
-    digits: tuple[int, ...],
-    T: int,
-    L: int,
-    depth: int,
-    state: np.ndarray,
+def _leaf_members(
+    base: int, digits: tuple[int, ...], L: int, nums: list, dens: list
 ) -> np.ndarray:
-    """From frontier states at the given depth down to the leaves; returns
-    the (num, den) rows of the leaf candidates that are members."""
-    # frontier states are final already, so this first pass takes no step
-    num, den, state = _descend(state, T)
-    for _ in range(depth, L):
-        num, den, state = _descend(_children(state, digits, base), T)
-    del state  # the leaf states are not needed: free them before the walk
-
+    """The (num, den) rows of the leaf candidates, given as lists of num and
+    den blocks, that are members."""
+    num, den = np.concatenate(nums), np.concatenate(dens)
     # boundary rows have no prime outside the base's. Every base prime left
     # in rest divides g, which starts as gcd(den, base^L), so dividing g out
     # until it is 1 strips them all
@@ -211,8 +218,41 @@ def _descend_chunk(
     return np.stack([num[hit], den[hit]], axis=1)
 
 
-def _run_chunk(args):
-    return _descend_chunk(*args)
+def _descend_task(
+    base: int,
+    digits: tuple[int, ...],
+    T: int,
+    L: int,
+    depth: int,
+    state: np.ndarray,
+) -> np.ndarray:
+    """From final states at depth < L down to the leaves, depth first over
+    blocks of columns (see the module docstring); returns the (num, den)
+    rows of the leaf candidates that are members."""
+    step = max(1, _BUDGET // len(digits))  # columns expanded per call
+    stack = [(depth, state)]
+    nums, dens, found = [], [], []
+    held = 0
+    while stack:
+        depth, state = stack.pop()
+        if state.shape[1] > step:
+            # a copy: a view of the rest would pin the whole block
+            stack.append((depth, state[:, step:].copy()))
+            state = state[:, :step]
+        num, den, state = _descend(_children(state, digits, base), T)
+        if depth + 1 < L:
+            if state.shape[1]:
+                stack.append((depth + 1, state))
+            continue
+        nums.append(num)
+        dens.append(den)
+        held += num.size
+        if held >= _BUDGET:
+            found.append(_leaf_members(base, digits, L, nums, dens))
+            nums, dens, held = [], [], 0
+    if nums:
+        found.append(_leaf_members(base, digits, L, nums, dens))
+    return np.concatenate(found) if found else np.empty((0, 2), np.int64)
 
 
 def members_up_to(
@@ -239,25 +279,24 @@ def members_up_to(
             f"max denominator {T} too large for the int64 engine"
         )
 
-    # frontier: grow until there is enough parallel grain or we hit the leaves
-    state = _ROOT
-    depth = 0
-    target = 1024
-    while depth < L and state.shape[1] and state.shape[1] * len(digits) <= target:
-        _, _, state = _descend(_children(state, digits, base), T)
-        depth += 1
-
-    tasks = [
-        (base, digits, T, L, depth, state[:, i : i + _CHUNK_NODES])
-        for i in range(0, state.shape[1], _CHUNK_NODES)
-    ]
-    if jobs == 1 or len(tasks) <= 1:
-        results = [_run_chunk(t) for t in tasks]
+    state, depth, parts = _ROOT, 0, 1
+    if jobs > 1:
+        # frontier: grow breadth-first until there is enough parallel grain,
+        # stopping above the leaves so that every task descends a level
+        while depth + 1 < L and 0 < state.shape[1] * len(digits) <= _FRONTIER:
+            _, _, state = _descend(_children(state, digits, base), T)
+            depth += 1
+        parts = max(1, min(4 * jobs, state.shape[1]))
+    tasks = np.array_split(state, parts, axis=1)
+    run = partial(_descend_task, base, digits, T, L, depth)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
+        results = [run(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_chunk, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, tasks, chunksize=1))
 
-    members = np.concatenate(results) if results else np.empty((0, 2), np.int64)
+    members = np.concatenate(results)
     if members.size == 0:
         return members.reshape(0, 2)
     packed = members[:, 1] * np.int64(T + 1) + members[:, 0]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -260,6 +261,22 @@ def test_invariant_failures_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "order", "--base", "2", "--modulus", "9")
     assert code == 3
     assert "invariant" in err
+
+
+@pytest.mark.parametrize(
+    "error, want",
+    [(MemoryError(), 2), (BrokenProcessPool("a worker was killed"), 3)],
+)
+def test_resource_failures_exit_without_traceback(capsys, monkeypatch, error, want):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "count_report", fail)
+    code, out, err = run_cli(
+        capsys, "count", "--base", "3", "--digits", "0,2", "--max-den", "50"
+    )
+    assert code == want and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_jobs_env_default(monkeypatch):

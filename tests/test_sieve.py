@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from timesb import sieve
 from timesb.cantor import (
     DigitSet,
     _by_value,
@@ -198,6 +199,89 @@ def test_jobs_do_not_change_output():
     assert reduced_members_up_to(ds, 500, jobs=1) == reduced_members_up_to(
         ds, 500, jobs=2
     )
+    # T = 5000 grows a frontier of hundreds of columns, cut into 8 and 12
+    # prefix slices that run in worker processes
+    rows = members_up_to(3, (0, 2), 5000, jobs=1)
+    for jobs in (2, 3):
+        assert np.array_equal(members_up_to(3, (0, 2), 5000, jobs=jobs), rows)
+
+
+def _fractions(rows: np.ndarray) -> list[Fraction]:
+    return sorted(Fraction(n, d) for n, d in rows.tolist())
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7])
+def test_small_budgets_match_default_and_naive_scan(monkeypatch, budget):
+    # budgets at or below the digit count and a small odd one: the block
+    # split, the remainder copy and the leaf flush all run many times
+    rng = random.Random(budget)
+    cases = [(b, tuple(sorted(rng.sample(range(b), rng.randrange(1, b)))))
+             for b in range(2, 8) for _ in range(2)]
+    for base, digits in cases:
+        T = rng.randrange(20, 61)
+        default = members_up_to(base, digits, T)
+        with monkeypatch.context() as m:
+            m.setattr(sieve, "_BUDGET", budget)
+            small = members_up_to(base, digits, T)
+        assert np.array_equal(small, default), (base, digits, T)
+        assert _fractions(small) == naive_members(DigitSet(base, digits), T)
+
+
+@pytest.mark.parametrize("budget", [1, 16, sieve._BUDGET])
+def test_children_calls_stay_within_budget(monkeypatch, budget):
+    # the memory invariant: no call expands more than the budget's columns
+    # (or one column's children, when the budget is below the digit count)
+    digits, T = (0, 2), 2000
+    want = members_up_to(3, digits, T)
+    sizes = []
+
+    def spy(state, digits, base):
+        out = _children(state, digits, base)
+        sizes.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(sieve, "_BUDGET", budget)
+    monkeypatch.setattr(sieve, "_children", spy)
+    assert np.array_equal(members_up_to(3, digits, T), want)
+    cap = max(budget, len(digits))
+    assert max(sizes) <= cap
+    if budget < 1000:  # far below the tree's width: some block is split
+        assert max(sizes) == cap - cap % len(digits)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in
+    this process, so no worker is ever started."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = 0
+        _SerialPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.tasks = len(items)
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus", [3, 10**4])
+def test_pool_size_capped_by_tasks_and_cpus(monkeypatch, cpus):
+    rows = members_up_to(3, (0, 2), 2000)
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(sieve.os, "cpu_count", lambda: cpus)
+    _SerialPool.made = []
+    assert np.array_equal(members_up_to(3, (0, 2), 2000, jobs=10**6), rows)
+    (pool,) = _SerialPool.made
+    assert 3 < pool.tasks <= sieve._FRONTIER
+    assert pool.max_workers == min(cpus, pool.tasks)
 
 
 def test_dual_expansion_members_found():
