@@ -17,14 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log, sqrt
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import InvariantError, PreconditionError
 from .numtheory import largest_prime, radical
 from .orders import OrderProfile
 from .rational import frac_str
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRANCH_LARGE = "P>b"
 BRANCH_SMALL = "P<b"
@@ -131,6 +132,8 @@ def member_bound_reports(base: int, epsilon: Fraction, rows: np.ndarray) -> list
     """bound_report of each member row (num, den), in row order, over the
     rows with den > 1 coprime to the base; P(den) and rad(den) come from one
     int32 smallest-prime-factor table up to the largest den."""
+    import numpy as np
+
     rows = rows[(rows[:, 1] > 1) & (np.gcd(rows[:, 1], base) == 1)]
     if rows.size and epsilon <= 0:
         raise PreconditionError(f"epsilon must be positive, got {frac_str(epsilon)}")

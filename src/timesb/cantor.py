@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvariantError, PreconditionError
 from .numtheory import Factorization, factorize
@@ -36,6 +34,9 @@ from .orbit import _remainder_walk, density_bound
 from .orders import OrderProfile, split_denominator
 from .rational import frac_str
 from .sieve import _walk, members_up_to
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -279,6 +280,8 @@ def _unit_slices(dens: list[int]) -> Iterator[np.ndarray]:
     strided mask per prime of d; blocks of several denominators are joined
     until a slice holds at least _SLICE rows.
     """
+    import numpy as np
+
     parts, size = [], 0
     for d in dens:
         primes = factorize(d).primes
@@ -475,7 +478,7 @@ def _count_coprime_upto(limit: np.ndarray, base: int) -> np.ndarray:
     """|{k : 1 <= k <= limit, gcd(k, base) = 1}| elementwise, by
     inclusion-exclusion over the primes of the base."""
     primes = factorize(base).primes
-    total = np.zeros_like(limit)
+    total = 0  # bits = 0 comes first and makes it an array like limit
     for bits in range(1 << len(primes)):
         d = 1
         sign = 1
@@ -495,6 +498,8 @@ def _by_value(rows: np.ndarray) -> np.ndarray:
     the value grows: only runs of equal keys can be out of order, and each is
     re-sorted by cross-multiplying.
     """
+    import numpy as np
+
     num, den = rows[:, 0], rows[:, 1]
     key = num / den
     order = np.argsort(key, kind="stable")
@@ -564,6 +569,8 @@ class CountReport:
 
 
 def _full_set_count(ds: DigitSet, T: int, coprime_to_b_only: bool) -> CountReport:
+    import numpy as np
+
     # every fraction in [0,1] is a member; count with a totient sieve
     phi = np.arange(T + 1, dtype=np.int64)
     for p in range(2, T + 1):
@@ -597,6 +604,8 @@ def count_report(
     Deterministic for any jobs value: the sieve canonicalizes its output
     before anything is counted.
     """
+    import numpy as np
+
     if T < 1:
         raise PreconditionError(f"max denominator must be >= 1, got {T}")
     if ds.is_full:

@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from math import gcd, prod
 
@@ -568,9 +567,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("out of memory: ask for less work", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
-        print(f"a worker process died: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 
 _TRIAL_LIMIT = 10**6
 
@@ -68,7 +68,9 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int) -> int:
     # Returns a nontrivial factor of composite odd n. Deterministic: the
-    # polynomial offset c walks 1, 2, 3, ... until a factor shows up.
+    # polynomial offset c walks 1, 2, 3, ... until a factor shows up. If
+    # none of 99 offsets splits n (a prime, or an unlucky composite), the
+    # factorization cannot go on: InvariantError, exit 3 at the CLI.
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -95,7 +97,7 @@ def _brent_rho(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed to split {n}")
+    raise InvariantError(f"rho failed to split {n}")
 
 
 @dataclass(frozen=True)

@@ -76,26 +76,26 @@ the walk each time at least _BUDGET rows are held, and once at the end.
 With jobs > 1 the tree is first grown breadth first to a frontier of at
 most _FRONTIER columns, which is cut into at most 4*jobs contiguous slices,
 one task each; the final sort makes the output the same for every split.
+
+numpy is imported by the functions that use it, on their first call, and
+the process pool only when jobs > 1: importing this module loads neither,
+so the commands that never reach the sieve or the walk start without them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvariantError, PreconditionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BUDGET = 1 << 13  # columns of one _children or _descend call
 _FRONTIER = 1024  # columns of the frontier cut into parallel tasks
 _MAX_STEPS = 200  # a denominator below 2^62 has fewer than 92 partial quotients
-
-# descent state of the root interval [0, 1]: rows u1, u2, v1, v2, h1, h0, k1, k0
-_ROOT = np.array([[0], [1], [1], [1], [1], [0], [0], [1]], dtype=np.int64)
-_ROOT.setflags(write=False)
 
 
 def limit_depth(base: int, T: int) -> int:
@@ -108,6 +108,14 @@ def limit_depth(base: int, T: int) -> int:
     return L
 
 
+def _root() -> np.ndarray:
+    """Descent state of the root interval [0, 1], one column of rows u1, u2,
+    v1, v2, h1, h0, k1, k0."""
+    import numpy as np
+
+    return np.array([[0], [1], [1], [1], [1], [0], [0], [1]], dtype=np.int64)
+
+
 def _children(state: np.ndarray, digits: Sequence[int], base: int) -> np.ndarray:
     """Descent states of every digit child of every column, digit-major.
 
@@ -115,6 +123,8 @@ def _children(state: np.ndarray, digits: Sequence[int], base: int) -> np.ndarray
     (b-c-1)*left + (c+1)*right; the descent map is linear, so its state at
     the parent's last step is the same combination of the parent's state.
     """
+    import numpy as np
+
     u1, u2, v1, v2 = state[:4]
     w1, w2 = v1 - u1, v2 - u2
     out = np.empty((8, len(digits), state.shape[1]), dtype=np.int64)
@@ -136,6 +146,8 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     column's state at the step where its descent stopped, which is where its
     children resume. Columns are dropped as soon as den must exceed T.
     """
+    import numpy as np
+
     parts = []
     cur = state
     for _ in range(_MAX_STEPS):
@@ -170,6 +182,8 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _walk(base: int, digits: Sequence[int], r: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Member mask of int64 rows (r, den), 0 <= r <= den, each the value
     r/den with all digits so far good (see the module docstring)."""
+    import numpy as np
+
     good = np.zeros(base, dtype=bool)
     good[list(digits)] = True
     one = r == den
@@ -204,6 +218,8 @@ def _leaf_members(
 ) -> np.ndarray:
     """The (num, den) rows of the leaf candidates, given as lists of num and
     den blocks, that are members."""
+    import numpy as np
+
     num, den = np.concatenate(nums), np.concatenate(dens)
     # boundary rows have no prime outside the base's. Every base prime left
     # in rest divides g, which starts as gcd(den, base^L), so dividing g out
@@ -229,6 +245,8 @@ def _descend_task(
     """From final states at depth < L down to the leaves, depth first over
     blocks of columns (see the module docstring); returns the (num, den)
     rows of the leaf candidates that are members."""
+    import numpy as np
+
     step = max(1, _BUDGET // len(digits))  # columns expanded per call
     stack = [(depth, state)]
     nums, dens, found = [], [], []
@@ -262,6 +280,8 @@ def members_up_to(
 
     Output is identical for every jobs value.
     """
+    import numpy as np
+
     digits = tuple(sorted(set(int(x) for x in digits)))
     if base < 2 or not digits or digits[0] < 0 or digits[-1] >= base:
         raise PreconditionError(f"invalid digit set {digits} for base {base}")
@@ -279,7 +299,7 @@ def members_up_to(
             f"max denominator {T} too large for the int64 engine"
         )
 
-    state, depth, parts = _ROOT, 0, 1
+    state, depth, parts = _root(), 0, 1
     if jobs > 1:
         # frontier: grow breadth-first until there is enough parallel grain,
         # stopping above the leaves so that every task descends a level
@@ -293,8 +313,13 @@ def members_up_to(
     if workers == 1:
         results = [run(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks, chunksize=1))
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, tasks, chunksize=1))
+        except BrokenProcessPool as exc:
+            raise InvariantError(f"a worker process died: {exc}") from exc
 
     members = np.concatenate(results)
     if members.size == 0:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timesb import cli
+from timesb import cli, numtheory, sieve
 from timesb.bounds import BOUNDS_CSV_HEADER, aggregate_constants, bound_report
 from timesb.cantor import DigitSet
 from timesb.rational import frac_str
@@ -263,17 +264,38 @@ def test_invariant_failures_exit_3(capsys, monkeypatch):
     assert "invariant" in err
 
 
-@pytest.mark.parametrize(
-    "error, want",
-    [(MemoryError(), 2), (BrokenProcessPool("a worker was killed"), 3)],
-)
-def test_resource_failures_exit_without_traceback(capsys, monkeypatch, error, want):
-    def fail(*args, **kwargs):
-        raise error
-
-    monkeypatch.setattr(cli, "count_report", fail)
+def test_rho_failure_exits_3_without_traceback(capsys, monkeypatch):
+    # 1000003 * 1000033, both factors above the trial-division limit; with
+    # every cofactor taken for composite, rho is handed a prime and fails
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: False)
     code, out, err = run_cli(
-        capsys, "count", "--base", "3", "--digits", "0,2", "--max-den", "50"
+        capsys, "order", "--base", "2", "--modulus", "1000036000099"
+    )
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _die(*args):
+    # stands in for sieve._descend_task: the pool worker running it dies
+    os._exit(1)
+
+
+@pytest.mark.parametrize("error, want", [(MemoryError(), 2), (BrokenProcessPool(), 3)])
+def test_resource_failures_exit_without_traceback(capsys, monkeypatch, error, want):
+    if isinstance(error, BrokenProcessPool):
+        # a real one: a pool worker dies. Two workers even on one CPU, so
+        # that _die never runs in this process
+        monkeypatch.setattr(sieve, "_descend_task", _die)
+        monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
+    else:
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "count_report", fail)
+    code, out, err = run_cli(
+        capsys, "count", "--base", "3", "--digits", "0,2", "--max-den", "50",
+        "--jobs", "2",
     )
     assert code == want and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err

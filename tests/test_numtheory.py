@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timesb.errors import PreconditionError
+from timesb.errors import InvariantError, PreconditionError
 from timesb.numtheory import (
     Factorization,
+    _brent_rho,
     factorize,
     group_exponent_factored,
     is_prime,
@@ -88,6 +89,12 @@ def test_factorize_grows_prime_table_lazily():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert int(out) == 64
+
+
+def test_brent_rho_on_a_prime_raises_invariant_error():
+    # no offset splits a prime; the error maps to exit 3, not a traceback
+    with pytest.raises(InvariantError, match="rho failed to split 1000003"):
+        _brent_rho(1000003)
 
 
 def test_factorize_rejects_nonpositive():

@@ -1,5 +1,6 @@
 """Interval sieve vs naive scans, plus the counting conventions."""
 
+import concurrent.futures.process
 import random
 from fractions import Fraction
 from math import gcd
@@ -19,7 +20,7 @@ from timesb.cantor import (
     reduced_members_up_to,
 )
 from timesb.errors import PreconditionError
-from timesb.sieve import _ROOT, _children, _descend, limit_depth, members_up_to
+from timesb.sieve import _children, _descend, _root, limit_depth, members_up_to
 
 from oracles import reduced_members_oracle, simplest_fraction
 
@@ -36,7 +37,7 @@ def naive_members(ds: DigitSet, T: int) -> list[Fraction]:
 def resumed_simplest(P: int, depth: int, base: int) -> tuple[int, int]:
     """Simplest fraction of [P/base^depth, (P+1)/base^depth], reached the way
     the sieve reaches it: one resumed descent per digit of P from the root."""
-    state = _ROOT
+    state = _root()
     scale = 1
     for c in reversed([P // base**i % base for i in range(depth)]):
         scale *= base
@@ -78,7 +79,7 @@ def test_resumed_descent_matches_oracle_to_int64_guard(data):
     L = _int64_depth(base)
     path = data.draw(st.lists(st.integers(0, base - 1), min_size=L, max_size=L))
     T = data.draw(st.integers(min_value=1, max_value=2**31))
-    state = _ROOT
+    state = _root()
     P = 0
     for depth, c in enumerate(path, start=1):
         scale = base**depth
@@ -112,7 +113,7 @@ def test_sieve_levels_match_oracle(data):
     )
     T = data.draw(st.integers(min_value=1, max_value=60))
     want_level = [0]
-    state = _ROOT
+    state = _root()
     for depth in range(1, limit_depth(base, T) + 1):
         scale = base**depth
         want = {}
@@ -275,7 +276,8 @@ class _SerialPool:
 @pytest.mark.parametrize("cpus", [3, 10**4])
 def test_pool_size_capped_by_tasks_and_cpus(monkeypatch, cpus):
     rows = members_up_to(3, (0, 2), 2000)
-    monkeypatch.setattr(sieve, "ProcessPoolExecutor", _SerialPool)
+    # the sieve imports the pool class from here when jobs > 1
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(sieve.os, "cpu_count", lambda: cpus)
     _SerialPool.made = []
     assert np.array_equal(members_up_to(3, (0, 2), 2000, jobs=10**6), rows)
