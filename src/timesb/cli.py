@@ -7,8 +7,8 @@ quantities travel as "a/d" strings; floating point appears only in the
 empirical-constant reports.
 
 Exit codes: 0 success, 2 precondition violation (including argument
-errors) or out of memory, 3 internal invariant failure or a dead worker
-process.
+errors), out of memory, a closed stdout or an interrupt, 3 internal
+invariant failure or a dead worker process.
 """
 
 from __future__ import annotations
@@ -557,7 +557,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # fd 1 goes to devnull, or the interpreter's last flush raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("stdout closed before all output was written", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 2
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2

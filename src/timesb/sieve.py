@@ -31,7 +31,10 @@ V' = U' + (V - U), with the parent's convergent matrix. Each level therefore
 resumes from its parent's final state, usually for one to three more steps,
 and the leaf level's simplest fractions are the last pruning pass's. A
 descent is also cut short once the next k1 + k0 exceeds T: every later
-simplest denominator is at least that.
+simplest denominator is at least that. A step that goes on reuses the floor
+division and that bound: both endpoints have the floor a - 1, so the new
+x1 - (a-1)*x2 are the division's remainders and the new k1 is the bound
+minus the old k1.
 
 Everything fits in int64. For a node of scale S the original endpoint is
 (P, S) = [[h1, h0], [k1, k0]] * U with nonnegative entries and determinant
@@ -44,12 +47,14 @@ a*k1 + k0 for a not-yet-finished descent, at most 2*S) stay below 2^63.
 
 Each surviving leaf's candidate num/den is settled by one walk over the
 remainders r -> base*r mod den, whose digits t // den (t = base*r) are the
-expansion's. A denominator with a prime outside the base's puts the
-candidate strictly inside its leaf, so its unique expansion starts with the
-leaf's L good digits and the walk starts at r = num*base^L mod den. Any other
-candidate terminates and has a second expansion, which may leave the tree
-(a/256 in base 6 at L = 7 parts from its leaf only past depth L), so its walk
-starts at r = num and settles both expansions.
+expansion's. Where it starts depends on s = base^L mod den. If s = 0, den
+divides base^L and the candidate is an endpoint of its leaf: one of its two
+expansions may leave the leaf at once, so the walk starts at r = num and
+settles both. Otherwise the candidate lies strictly inside its leaf, and
+every expansion of it begins with the leaf's L good digits: the unique one
+of a denominator with a prime outside the base's, and both of a terminating
+one (those of a/256 in base 6 at L = 7 part at depth 8). The walk then
+starts past them, at r = num*s mod den.
 
 The walk (`_walk`) is vectorized over (r, den) rows and also settles the
 rows `timesb.cantor.enumerate_members` builds. Each round steps every live
@@ -125,16 +130,12 @@ def _children(state: np.ndarray, digits: Sequence[int], base: int) -> np.ndarray
     """
     import numpy as np
 
-    u1, u2, v1, v2 = state[:4]
-    w1, w2 = v1 - u1, v2 - u2
+    u, w = state[:2, None], state[2:4, None] - state[:2, None]
     out = np.empty((8, len(digits), state.shape[1]), dtype=np.int64)
-    for j, c in enumerate(digits):
-        kid = out[:, j]
-        kid[0] = base * u1 + c * w1
-        kid[1] = base * u2 + c * w2
-        kid[2] = kid[0] + w1
-        kid[3] = kid[1] + w2
-        kid[4:] = state[4:]
+    np.multiply(np.array(digits)[:, None], w, out=out[:2])
+    out[:2] += base * u
+    np.add(out[:2], w, out=out[2:4])
+    out[4:] = state[4:, None]
     return out.reshape(8, -1)
 
 
@@ -152,26 +153,29 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     cur = state
     for _ in range(_MAX_STEPS):
         u1, u2, v1, v2, h1, h0, k1, k0 = cur
-        fu = u1 // u2
-        fv = v1 // v2
+        fu, ru = np.divmod(u1, u2)
+        fv, rv = np.divmod(v1, v2)
         # a = smallest integer >= the lower endpoint; the interval holds it
         # iff it is <= the upper endpoint's floor
-        a = np.minimum(fu + (fu * u2 != u1), fv + (fv * v2 != v1))
+        a = np.minimum(fu + (ru != 0), fv + (rv != 0))
         done = np.maximum(fu, fv) >= a
         # done: the simplest denominator; else a = floor + 1 and this is the
         # next k1 + k0, a lower bound for every later simplest denominator
         den = a * k1 + k0
         live = den <= T
         fin = np.flatnonzero(done & live)
-        parts.append((a[fin], cur[:, fin]))
+        parts.append((a[fin], cur.take(fin, axis=1)))
         go = np.flatnonzero(live & ~done)
         if not go.size:
             break
-        a = fu[go]
-        u1, u2, v1, v2, h1, h0, k1, k0 = cur[:, go]
-        cur = np.stack(
-            [u2, u1 - a * u2, v2, v1 - a * v2, a * h1 + h0, h1, a * k1 + k0, k1]
-        )
+        # both endpoints have floor fu = a - 1, so x1 - fu*x2 is the
+        # remainder and fu*k1 + k0 is den - k1. go is in range, and with
+        # mode="clip" take writes into out without a scratch copy
+        cur = np.empty((8, go.size), dtype=np.int64)
+        for row, x in zip(cur, (u2, ru, v2, rv, h0, h1, den, k1)):
+            np.take(x, go, out=row, mode="clip")
+        cur[4] += fu.take(go) * cur[5]
+        cur[6] -= cur[7]
     else:
         raise InvariantError("continued fraction descent failed to terminate")
     a = np.concatenate([pa for pa, _ in parts])
@@ -221,15 +225,10 @@ def _leaf_members(
     import numpy as np
 
     num, den = np.concatenate(nums), np.concatenate(dens)
-    # boundary rows have no prime outside the base's. Every base prime left
-    # in rest divides g, which starts as gcd(den, base^L), so dividing g out
-    # until it is 1 strips them all
-    scale = np.int64(pow(base, L))  # < 2^62 by the members_up_to guard
-    rest, g = den, np.gcd(den, scale)
-    while (g > 1).any():
-        rest = rest // g
-        g = np.gcd(rest, g)
-    r = np.where(rest == 1, num, num * (scale % den) % den)  # < T^2 < base^L
+    # s = 0: den | base^L, a point of the leaf's boundary, walked from num;
+    # else strictly inside, past the leaf's L good digits
+    s = np.int64(pow(base, L)) % den  # base^L < 2^62 by the members_up_to guard
+    r = np.where(s == 0, num, num * s % den)  # num * s < T^2 < base^L
     hit = _walk(base, digits, r, den)
     return np.stack([num[hit], den[hit]], axis=1)
 

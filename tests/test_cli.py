@@ -301,6 +301,51 @@ def test_resource_failures_exit_without_traceback(capsys, monkeypatch, error, wa
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_keyboard_interrupt_exits_2_without_traceback(capsys, monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_count", interrupt)
+    code, out, err = run_cli(
+        capsys, "count", "--base", "3", "--digits", "0,2", "--max-den", "50"
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["interrupted"]
+
+
+_MEMBER = ("member", "--base", "3", "--digits", "0,2", "--frac", "1/4")
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        # one short line, written by main's final flush
+        (_MEMBER, False),
+        # the same line, written by print itself
+        (_MEMBER, True),
+        # about 160 KB, so the buffer is written inside the command
+        (("enumerate", "--base", "3", "--digits", "0,2", "--max-den", "3000"), False),
+    ],
+)
+def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "timesb", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 def test_jobs_env_default(monkeypatch):
     monkeypatch.setenv("TIMESB_JOBS", "4")
     assert cli._default_jobs() == 4

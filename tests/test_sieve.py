@@ -296,6 +296,91 @@ def test_dual_expansion_members_found():
     assert Fraction(1, 3) in reduced_members_up_to(DigitSet(3, (0, 2)), 5)
 
 
+def _leaf_cases():
+    rng = random.Random(10)
+    cases = [(6, tuple(d for d in range(6) if mask >> d & 1), 64)
+             for mask in range(1, 2**6 - 1)]
+    cases.append((10, (0, 2, 5, 6), 300))
+    for base, T in ((10, 300), (12, 150)):
+        cases += [(base, tuple(sorted(rng.sample(range(base), rng.randrange(2, base)))), T)
+                  for _ in range(4)]
+    return cases
+
+
+def test_leaf_start_rule_matches_walk_from_num(monkeypatch):
+    # oracle for the leaf rule: every candidate walked from r = num, which
+    # reads all its digits and skips none of its leaf's
+    real = sieve._leaf_members
+    seen = []
+
+    def spy(base, digits, L, nums, dens):
+        got = real(base, digits, L, nums, dens)
+        num, den = np.concatenate(nums), np.concatenate(dens)
+        hit = sieve._walk(base, digits, num, den)
+        assert np.array_equal(got, np.stack([num[hit], den[hit]], axis=1))
+        # interior rows whose denominator has only the base's primes (64
+        # exceeds every prime exponent of a den <= 300)
+        seen.extend(d for d in den.tolist() if pow(base, L, d) and not pow(base, 64, d))
+        return got
+
+    monkeypatch.setattr(sieve, "_leaf_members", spy)
+    for base, digits, T in _leaf_cases():
+        members_up_to(base, digits, T)
+    assert seen  # terminating candidates took the depth-L start too
+
+
+@pytest.mark.parametrize(
+    "base, digits, T, num, den, r",
+    [
+        # 0.444043 in base 6, L = 5: 64 does not divide 6^5, so the walk
+        # starts at depth 5 with the remainder of 0.3 (r/64 = 1/2)
+        (6, (0, 3, 4), 64, 51, 64, 32),
+        # 0.22265625 in base 10, L = 5: starts at 0.625 (r/256)
+        (10, (0, 2, 5, 6), 300, 57, 256, 160),
+    ],
+)
+def test_smooth_interior_rows_walk_from_depth_L(monkeypatch, base, digits, T, num, den, r):
+    # base-smooth denominators that do not divide base^L: both expansions
+    # part from each other only past depth L
+    L = limit_depth(base, T)
+    assert L == 5 and pow(base, L, den) != 0
+    assert num * base**L % den == r
+    assert [num, den] in members_up_to(base, digits, T).tolist()
+    assert member(DigitSet(base, digits), Fraction(num, den))
+    starts = []
+    real = sieve._walk
+
+    def spy(base, digits, r, den):
+        starts.append(r.tolist())
+        return real(base, digits, r, den)
+
+    monkeypatch.setattr(sieve, "_walk", spy)
+    rows = sieve._leaf_members(base, digits, L, [np.array([num])], [np.array([den])])
+    assert starts == [[r]] and rows.tolist() == [[num, den]]
+
+
+def test_descent_work_pinned(monkeypatch):
+    # the tree the sieve visits for base 3 {0,2} at T = 20000; a change that
+    # widens it fails here rather than only running slower
+    calls = [0, 0, 0]
+    real = sieve._descend
+
+    def spy(state, T):
+        num, den, final = real(state, T)
+        calls[0] += 1
+        calls[1] += state.shape[1]
+        calls[2] += final.shape[1]
+        return num, den, final
+
+    monkeypatch.setattr(sieve, "_descend", spy)
+    rows = members_up_to(3, (0, 2), 20000)
+    assert len(rows) == 11700
+    n_calls, columns_in, columns_kept = calls
+    assert n_calls <= 107
+    assert columns_in <= 608698
+    assert columns_kept <= 362946
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_sieve_matches_naive_randomized(data):
