@@ -19,6 +19,15 @@ gives the bound D; applied to each S-smooth d <= D it leaves only the few
 denominators whose coset lattice is coarse enough to miss the interval, and
 only those are walked.  A lattice spacing exactly equal to the interval
 length is walked too, so the boundary stays conservative.
+
+The members over one denominator d come from a descent of the good-digit
+tree.  Prefix P at depth l (S = b^l) holds the a with P*d <= a*S <= (P+1)*d,
+q + [e > 0] .. q + (e + d) // S for P*d = q*S + e, 0 <= e < S; a node with
+none is dropped.  Digit c adds the quotient of b*e + c*d by b*S onto q and
+leaves the remainder as e, below (2b-1)*d < 2^63.  Once S > d a node holds at
+most one a, and the sieve's walk settles its tail r/d past P, r = a*S - P*d =
+S*[e > 0] - e (r = 0 is the tail 0^inf, r = d is (b-1)^inf).  A value on two
+nodes' edge is kept once; a level wider than _BUDGET is descended in halves.
 """
 
 from __future__ import annotations
@@ -26,14 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvariantError, PreconditionError
-from .numtheory import Factorization, factorize
+from .numtheory import factorize
 from .orbit import _remainder_walk, density_bound
-from .orders import OrderProfile, split_denominator
+from .orders import OrderProfile
 from .rational import frac_str
-from .sieve import _walk, members_up_to
+from .sieve import _BUDGET, _walk, members_up_to
 
 if TYPE_CHECKING:
     import numpy as np
@@ -269,36 +279,6 @@ def member(ds: DigitSet, x: Fraction) -> bool:
     return member_witness(ds, x) is not None
 
 
-_SLICE = 1 << 12  # rows per walk in enumerate_members
-
-
-def _unit_slices(dens: list[int]) -> Iterator[np.ndarray]:
-    """(num, den) int64 rows of every reduced a/d with 0 <= a <= d, the
-    denominators in the given order and each one's numerators ascending.
-
-    Numerators come in blocks of at most _SLICE, their units picked by one
-    strided mask per prime of d; blocks of several denominators are joined
-    until a slice holds at least _SLICE rows.
-    """
-    import numpy as np
-
-    parts, size = [], 0
-    for d in dens:
-        primes = factorize(d).primes
-        for lo in range(0, d + 1, _SLICE):
-            keep = np.ones(min(_SLICE, d + 1 - lo), dtype=bool)
-            for p in primes:
-                keep[-lo % p :: p] = False
-            num = lo + np.flatnonzero(keep)
-            parts.append(np.stack([num, np.full_like(num, d)], axis=1))
-            size += num.size
-            if size >= _SLICE:
-                yield np.concatenate(parts)
-                parts, size = [], 0
-    if parts:
-        yield np.concatenate(parts)
-
-
 def enumerate_members(
     ds: DigitSet, denominators: Iterable[int]
 ) -> Iterator[tuple[Fraction, ExpansionInfo]]:
@@ -306,18 +286,40 @@ def enumerate_members(
 
     Yields (fraction, certifying expansion) pairs, denominators in the given
     order, numerators ascending. Denominator 1 contributes the endpoints.
-    Membership comes from the sieve's vectorized walk, one slice of rows at
-    a time; the witness is computed for members only.
+    Each d descends the good-digit tree, whose leaves the sieve's walk
+    settles (module docstring); the witness is computed for members only.
     """
+    import numpy as np
+
     dens = list(denominators)
     for d in dens:
         if not 1 <= d <= 2**62 // ds.base:
             raise PreconditionError(f"denominator {d} outside 1..2^62/base")
     if len(set(dens)) != len(dens):
         raise PreconditionError("duplicate denominator")
-    for rows in _unit_slices(dens):
-        hit = _walk(ds.base, ds.digits, rows[:, 0], rows[:, 1])
-        for a, d in rows[hit].tolist():
+    zero = np.zeros(1, dtype=np.int64)
+    for d in dens:
+        cd = np.array(ds.digits, dtype=np.int64)[:, None] * d
+        found = [zero[:0]]
+        stack = [(1, zero, zero)]  # (S, q, e) of nodes with P*d = q*S + e
+        while stack:
+            S, q, e = stack.pop()
+            if q.size > _BUDGET:  # a wide level is descended in halves
+                h = q.size // 2
+                stack += [(S, q[h:], e[h:]), (S, q[:h], e[:h])]
+            elif S <= d:
+                S *= ds.base
+                carry, e = np.divmod(ds.base * e + cd, S)  # below (2b-1)*d < 2^63
+                q = q + carry
+                keep = (e > 0) <= (e + d) // S  # the node holds a numerator
+                stack.append((S, q[keep], e[keep]))
+            else:  # S > d: one numerator each, and r/d is its tail past P
+                a = q + (e > 0)
+                r = (a - q) * S - e
+                found.append(a[_walk(ds.base, ds.digits, r, np.full_like(a, d))])
+        for a in sorted(set(np.concatenate(found).tolist())):  # edges come twice
+            if gcd(a, d) > 1:
+                continue
             x = Fraction(a, d)
             w = member_witness(ds, x)
             if w is None:
@@ -325,29 +327,22 @@ def enumerate_members(
             yield x, w
 
 
-def _smooth_factorizations(primes: Iterable[int], limit: int) -> list[tuple[int, tuple]]:
-    """(n, prime-exponent pairs) for every product n <= limit of powers of
-    the given primes, sorted by n."""
+def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:
+    """All products of powers of the given primes that are <= limit, sorted."""
     if limit < 1:
         return []
-    vals: list[tuple[int, tuple]] = [(1, ())]
+    vals = [1]
     for p in sorted(set(primes)):
         if p < 2:
             raise PreconditionError(f"invalid prime {p}")
         grown = []
-        for v, factors in vals:
-            x, e = v * p, 1
+        for v in vals:
+            x = v * p
             while x <= limit:
-                grown.append((x, factors + ((p, e),)))
+                grown.append(x)
                 x *= p
-                e += 1
         vals.extend(grown)
     return sorted(vals)
-
-
-def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:
-    """All products of powers of the given primes that are <= limit, sorted."""
-    return [n for n, _ in _smooth_factorizations(primes, limit)]
 
 
 @dataclass(frozen=True)
@@ -450,14 +445,13 @@ def enumerate_s_integers(
         )
     bound = density_bound(profile, min(eps, radius))
     max_den = int(bound)
-    smooth = _smooth_factorizations(profile.primes, max_den)
-    # walk d only while 1/d0 >= gap, i.e. d0 * gap <= 1 in integers
+    smooth = smooth_denominators(profile.primes, max_den)
+    # walk d only while 1/d0 >= gap, i.e. d0 * gap <= 1 in integers; the
+    # capped part d1 of an S-smooth d is gcd(d, prod of p^N_p)
     gap = 2 * radius
+    cap = profile.cap_modulus()
     walked = [
-        d
-        for d, factors in smooth
-        if split_denominator(profile, Factorization(d, factors)).d0 * gap.numerator
-        <= gap.denominator
+        d for d in smooth if d // gcd(d, cap) * gap.numerator <= gap.denominator
     ]
     members = sorted(enumerate_members(ds, walked), key=lambda pair: pair[0])
     return SIntegerCertificate(

@@ -57,7 +57,7 @@ one (those of a/256 in base 6 at L = 7 part at depth 8). The walk then
 starts past them, at r = num*s mod den.
 
 The walk (`_walk`) is vectorized over (r, den) rows and also settles the
-rows `timesb.cantor.enumerate_members` builds. Each round steps every live
+leaves of `timesb.cantor.enumerate_members`. Each round steps every live
 row and drops it at its first bad digit. A row ends when r reaches 0 after
 digit c: it is a member iff c and 0 are allowed (the greedy expansion) or
 c >= 1 and c-1 and base-1 are (the dual, ..(c-1)(base-1)(base-1)..). Other
@@ -164,7 +164,7 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         den = a * k1 + k0
         live = den <= T
         fin = np.flatnonzero(done & live)
-        parts.append((a[fin], cur.take(fin, axis=1)))
+        parts.append((a[fin], den[fin], cur.take(fin, axis=1)))
         go = np.flatnonzero(live & ~done)
         if not go.size:
             break
@@ -178,14 +178,13 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         cur[6] -= cur[7]
     else:
         raise InvariantError("continued fraction descent failed to terminate")
-    a = np.concatenate([pa for pa, _ in parts])
-    final = np.concatenate([ps for _, ps in parts], axis=1)
-    return a * final[4] + final[5], a * final[6] + final[7], final
+    a, den, final = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    return a * final[4] + final[5], den, final
 
 
 def _walk(base: int, digits: Sequence[int], r: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Member mask of int64 rows (r, den), 0 <= r <= den, each the value
-    r/den with all digits so far good (see the module docstring)."""
+    r/den of the digits past a good prefix (see the module docstring)."""
     import numpy as np
 
     good = np.zeros(base, dtype=bool)

@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timesb import cantor
+from timesb import cantor, sieve
 from timesb.cantor import (
     DigitSet,
     ExpansionInfo,
@@ -275,12 +276,63 @@ def test_enumerate_members_walk_matches_oracle(base):
         assert got == want, digits
 
 
-def test_enumerate_members_walk_spans_slices():
+def test_enumerate_members_many_units_match_oracle():
     # 27027 = 3^3*7*11*13 divides 10^6 - 1, so each a/27027 repeats the six
-    # digits of 37*a; its units fill several walk slices and some are members
+    # digits of 37*a; it has thousands of units and some are members
     got, want = _walk_and_oracle(DigitSet(10, (1, 3, 5, 7, 9)), [27027])
-    assert 27027 > 2 * cantor._SLICE
     assert got == want and len(got) > 0
+
+
+def _unit_walk(ds, dens):
+    """Every reduced member a/d over dens, in order: each unit a of d settled
+    by the sieve's walk from r = a, with no digit tree."""
+    out = []
+    for d in dens:
+        a = np.arange(d + 1, dtype=np.int64)
+        a = a[np.gcd(a, d) == 1]
+        hit = sieve._walk(ds.base, ds.digits, a, np.full_like(a, d))
+        out += [F(int(n), d) for n in a[hit]]
+    return out
+
+
+def _seeded_digit_set(base):
+    # a proper subset of at least two digits, but for base 2
+    rng = random.Random(1000 + base)
+    size = rng.randrange(min(2, base - 1), base)
+    return DigitSet(base, tuple(rng.sample(range(base), size)))
+
+
+@pytest.mark.parametrize("base", range(2, 13))
+def test_enumerate_members_descent_matches_unit_walk(base):
+    # every d <= 2000: d = 1, powers and multiples of b, d coprime to b
+    ds = _seeded_digit_set(base)
+    dens = range(1, 2001)
+    assert [x for x, _ in enumerate_members(ds, dens)] == _unit_walk(ds, dens)
+
+
+@pytest.mark.parametrize("budget", [1, 16])
+def test_enumerate_members_descent_in_halves(monkeypatch, budget):
+    # a budget below the levels' widths: wide levels are descended in halves
+    monkeypatch.setattr(sieve, "_BUDGET", budget)
+    monkeypatch.setattr(cantor, "_BUDGET", budget)
+    rng = random.Random(budget)
+    for base in range(2, 13):
+        ds = _seeded_digit_set(base)
+        dens = [1, base, base**3] + rng.sample(range(2, 2001), 30)
+        got = [x for x, _ in enumerate_members(ds, dens)]
+        assert got == _unit_walk(ds, dens), base
+
+
+@pytest.mark.parametrize(
+    "digits, want",
+    [((0, 1, 3), [F(1, 4), F(3, 4)]), ((0, 3), [F(1, 4), F(3, 4)]), ((0, 1), [F(1, 4)])],
+)
+def test_enumerate_members_edge_of_two_nodes(digits, want):
+    # 1/4 = 0.1 = 0.0333... in base 4 lies on the edge of the nodes 10 and
+    # 03: {0,1,3} keeps it through both, {0,1} and {0,3} through one each
+    got = list(enumerate_members(DigitSet(4, digits), [4]))
+    assert [x for x, _ in got] == want
+    assert all(w.value() == x for x, w in got)
 
 
 def test_enumerate_members_rejects_duplicates():

@@ -16,10 +16,13 @@ from timesb.cantor import (
     count_members_up_to,
     count_report,
     enumerate_members,
+    enumerate_s_integers,
     member,
     reduced_members_up_to,
+    smooth_denominators,
 )
 from timesb.errors import PreconditionError
+from timesb.orders import build_profile
 from timesb.sieve import _children, _descend, _root, limit_depth, members_up_to
 
 from oracles import reduced_members_oracle, simplest_fraction
@@ -193,6 +196,22 @@ def test_sieve_matches_coset_enumeration():
     got = set(reduced_members_up_to(ds, 400))
     via_cosets = {x for x, _ in enumerate_members(ds, range(1, 401))}
     assert got == via_cosets
+
+
+@pytest.mark.parametrize(
+    "base, digits, primes", [(3, (0, 2), (2, 5, 7)), (5, (0, 1, 3), (2, 3, 7))]
+)
+def test_sieve_matches_certificate(base, digits, primes):
+    # two independent routes to the members with S-smooth d <= T: the
+    # sieve's digit tree over all d, and the certificate's per-d descent
+    # over the d its lattice exclusion keeps (D = 1680 and 2016 here)
+    T = 2000
+    cert = enumerate_s_integers(DigitSet(base, digits), build_profile(base, primes))
+    smooth = set(smooth_denominators(primes, T))
+    sieved = [(n, d) for n, d in members_up_to(base, digits, T).tolist() if d in smooth]
+    certified = [(x.numerator, x.denominator) for x, _ in cert.members]
+    by_den = sorted((r for r in certified if r[1] <= T), key=lambda r: (r[1], r[0]))
+    assert sieved == by_den and len(sieved) > 10
 
 
 def test_jobs_do_not_change_output():
