@@ -68,19 +68,44 @@ the cycle has produced a good digit, so a row with preperiod mu and cycle
 length lambda finishes within about mu + 2*lambda rounds. The value 1
 (r = den) is a member iff base-1 is allowed.
 
+Reflection halves the tree of a symmetric digit set, D = {b-1-c : c in D}.
+The map x -> 1-x sends a/d to (d-a)/d, which has the same denominator
+(gcd(d-a, d) = gcd(a, d)), and an expansion 0.c1c2... to
+0.(b-1-c1)(b-1-c2)..., since the two add up to 0.(b-1)(b-1)... = 1. The two
+expansions of a terminating value, ..c0000.. and ..(c-1)(b-1)(b-1).., go to
+..(b-1-c)(b-1)(b-1).. and ..(b-c)0000.., the two of 1-x: x is a member iff
+1-x is. The map also takes the prefix tree onto itself, digit c to b-1-c,
+so a node survives iff its mirror does. A member's expansion first leaves
+the all-middle path m, mm, mmm, ... (m = (b-1)/2, odd b with m in D; else
+the path is the root alone) with some digit c at a path node. If c < b-1-c
+the member lies under that low child; if not, its mirror does. A member
+that never leaves the path within L digits lies in the middle leaf, whose
+interval is centred on 1/2, so it is 1/2 itself. The sieve therefore walks
+only the low children's subtrees of each path node, and whole the path node
+one level above the leaves if the path gets there, and adds the row
+(d-a, d) of every member (a, d) it finds. A non-symmetric set is the same walk with every digit low, no path
+below the root and no mirror. A row can come out twice: 1/2 is its own
+mirror, a value on the edge of two leaves is found in both, and the high
+leaves of the last path node find the mirrors of its low ones. Every copy
+is the same reduced (num, den), so the final np.unique keeps one.
+
 The tree is walked depth first over blocks of columns under a fixed budget.
-A task pops a (depth, state) block, expands at most _BUDGET // k of its
-columns (k digits) through one `_children` and one `_descend` call, pushes
-the rest of the block back and the surviving children one level down. No
-call sees more than _BUDGET columns (k if k > _BUDGET), and since the
-stack's depths rise strictly from bottom to top it holds at most one block
-per level: peak memory is about _BUDGET * L columns of 64 bytes, whatever
-the digit set. The rest is pushed as a copy, because a view would keep the
-whole popped block alive until the rest is popped. Leaf candidates go to
-the walk each time at least _BUDGET rows are held, and once at the end.
-With jobs > 1 the tree is first grown breadth first to a frontier of at
-most _FRONTIER columns, which is cut into at most 4*jobs contiguous slices,
-one task each; the final sort makes the output the same for every split.
+A task starts from a stack of (depth, state) blocks pushed in rising depth
+order, the half tree's at most one per level. It pops a block, expands at
+most _BUDGET // k of its columns (k digits) through one `_children` and one
+`_descend` call, pushes the rest of the block back and the surviving
+children one level down. No call sees more than _BUDGET columns (k if
+k > _BUDGET), and since the stack's depths rise strictly from bottom to top
+it holds at most one block per level: peak memory is about _BUDGET * L
+columns of 64 bytes, whatever the digit set. The rest is pushed as a copy,
+because a view would keep the whole popped block alive until the rest is
+popped. Leaf candidates go to the walk each time at least _BUDGET rows are
+held, and once at the end. With jobs > 1 the half tree's shallowest block
+is first grown breadth first, taking in each deeper block it reaches, to a
+frontier of at most _FRONTIER columns, which is cut into at most 4*jobs
+contiguous slices, one task each; the blocks still deeper, under the middle
+path, go on the last task's stack. The final sort makes the output the same
+for every split.
 
 numpy is imported by the functions that use it, on their first call, and
 the process pool only when jobs > 1: importing this module loads neither,
@@ -132,7 +157,7 @@ def _children(state: np.ndarray, digits: Sequence[int], base: int) -> np.ndarray
 
     u, w = state[:2, None], state[2:4, None] - state[:2, None]
     out = np.empty((8, len(digits), state.shape[1]), dtype=np.int64)
-    np.multiply(np.array(digits)[:, None], w, out=out[:2])
+    np.multiply(np.array(digits, dtype=np.int64)[:, None], w, out=out[:2])
     out[:2] += base * u
     np.add(out[:2], w, out=out[2:4])
     out[4:] = state[4:, None]
@@ -232,21 +257,39 @@ def _leaf_members(
     return np.stack([num[hit], den[hit]], axis=1)
 
 
+def _half_tree(
+    base: int, low: tuple[int, ...], mid: tuple[int, ...], T: int, L: int
+) -> list[tuple[int, np.ndarray]]:
+    """The (depth, state) blocks, in rising depth, of the subtrees the sieve
+    walks: the low digits' children of each node on the all-middle path, and
+    whole the path node one level above the leaves if the path gets there
+    (see the module docstring)."""
+    blocks, depth, path = [], 0, _root()
+    while mid and depth + 2 < L and path.shape[1]:
+        blocks.append((depth + 1, _descend(_children(path, low, base), T)[2]))
+        path = _descend(_children(path, mid, base), T)[2]
+        depth += 1
+    if depth + 1 < L:
+        path = _descend(_children(path, low + mid, base), T)[2]
+        depth += 1
+    return blocks + [(depth, path)]
+
+
 def _descend_task(
     base: int,
     digits: tuple[int, ...],
     T: int,
     L: int,
-    depth: int,
-    state: np.ndarray,
+    stack: list[tuple[int, np.ndarray]],
 ) -> np.ndarray:
-    """From final states at depth < L down to the leaves, depth first over
-    blocks of columns (see the module docstring); returns the (num, den)
-    rows of the leaf candidates that are members."""
+    """From (depth, state) blocks of final states at depths < L, rising
+    from first to last, down to the leaves, depth first over blocks of
+    columns (see the module docstring); returns the (num, den) rows of the
+    leaf candidates that are members."""
     import numpy as np
 
     step = max(1, _BUDGET // len(digits))  # columns expanded per call
-    stack = [(depth, state)]
+    stack = list(stack)
     nums, dens, found = [], [], []
     held = 0
     while stack:
@@ -297,16 +340,27 @@ def members_up_to(
             f"max denominator {T} too large for the int64 engine"
         )
 
-    state, depth, parts = _root(), 0, 1
+    # x -> 1 - x maps a symmetric set onto itself: walk the low half only
+    mirror = all(base - 1 - c in digits for c in digits)
+    low = tuple(c for c in digits if not mirror or c < base - 1 - c)
+    mid = tuple(c for c in digits if mirror and c == base - 1 - c)
+    blocks = _half_tree(base, low, mid, T, L)
+    tasks = [blocks]
     if jobs > 1:
-        # frontier: grow breadth-first until there is enough parallel grain,
-        # stopping above the leaves so that every task descends a level
+        # frontier: grow the shallowest block breadth first, taking in the
+        # next level's block, until there is enough parallel grain; stop
+        # above the leaves so that every task descends a level. The deeper
+        # blocks, under the middle path, ride with the last slice
+        (depth, state), *blocks = blocks
         while depth + 1 < L and 0 < state.shape[1] * len(digits) <= _FRONTIER:
             _, _, state = _descend(_children(state, digits, base), T)
             depth += 1
+            if blocks and blocks[0][0] == depth:
+                state = np.concatenate([state, blocks.pop(0)[1]], axis=1)
         parts = max(1, min(4 * jobs, state.shape[1]))
-    tasks = np.array_split(state, parts, axis=1)
-    run = partial(_descend_task, base, digits, T, L, depth)
+        tasks = [[(depth, s)] for s in np.array_split(state, parts, axis=1)]
+        tasks[-1] += blocks
+    run = partial(_descend_task, base, digits, T, L)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         results = [run(t) for t in tasks]
@@ -320,6 +374,9 @@ def members_up_to(
             raise InvariantError(f"a worker process died: {exc}") from exc
 
     members = np.concatenate(results)
+    if mirror:
+        num, den = members.T
+        members = np.concatenate([members, np.stack([den - num, den], axis=1)])
     if members.size == 0:
         return members.reshape(0, 2)
     packed = members[:, 1] * np.int64(T + 1) + members[:, 0]

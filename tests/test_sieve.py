@@ -224,6 +224,11 @@ def test_jobs_do_not_change_output():
     rows = members_up_to(3, (0, 2), 5000, jobs=1)
     for jobs in (2, 3):
         assert np.array_equal(members_up_to(3, (0, 2), 5000, jobs=jobs), rows)
+    # a middle digit: the blocks under the all-middle path ride with the
+    # last frontier slice
+    rows = members_up_to(5, (0, 2, 4), 3000, jobs=1)
+    for jobs in (2, 3):
+        assert np.array_equal(members_up_to(5, (0, 2, 4), 3000, jobs=jobs), rows)
 
 
 def _fractions(rows: np.ndarray) -> list[Fraction]:
@@ -379,25 +384,70 @@ def test_smooth_interior_rows_walk_from_depth_L(monkeypatch, base, digits, T, nu
 
 
 def test_descent_work_pinned(monkeypatch):
-    # the tree the sieve visits for base 3 {0,2} at T = 20000; a change that
-    # widens it fails here rather than only running slower
-    calls = [0, 0, 0]
+    # the tree the sieve visits at T = 20000; a change that widens it fails
+    # here rather than only running slower. The symmetric {0,2} walks the
+    # low half of its tree, the non-symmetric {0,1} all of it
     real = sieve._descend
+    for digits, n_rows, most in (
+        ((0, 2), 11700, (60, 304349, 181473)),
+        ((0, 1), 8195, (107, 603618, 358426)),
+    ):
+        calls = [0, 0, 0]
 
-    def spy(state, T):
-        num, den, final = real(state, T)
-        calls[0] += 1
-        calls[1] += state.shape[1]
-        calls[2] += final.shape[1]
-        return num, den, final
+        def spy(state, T):
+            num, den, final = real(state, T)
+            calls[0] += 1
+            calls[1] += state.shape[1]
+            calls[2] += final.shape[1]
+            return num, den, final
 
-    monkeypatch.setattr(sieve, "_descend", spy)
-    rows = members_up_to(3, (0, 2), 20000)
-    assert len(rows) == 11700
-    n_calls, columns_in, columns_kept = calls
-    assert n_calls <= 107
-    assert columns_in <= 608698
-    assert columns_kept <= 362946
+        monkeypatch.setattr(sieve, "_descend", spy)
+        rows = members_up_to(3, digits, 20000)
+        assert len(rows) == n_rows
+        # calls, columns in and columns kept
+        assert all(got <= bound for got, bound in zip(calls, most)), (digits, calls)
+
+
+def _full_tree(base: int, digits: tuple[int, ...], T: int) -> np.ndarray:
+    """members_up_to without the mirror: the whole tree descended from the
+    root, then the same packing and np.unique."""
+    L = limit_depth(base, T)
+    rows = sieve._descend_task(base, digits, T, L, [(0, _root())])
+    packed = np.unique(rows[:, 1] * np.int64(T + 1) + rows[:, 0])
+    return np.stack([packed % (T + 1), packed // (T + 1)], axis=1)
+
+
+def _reflection_cases():
+    rng = random.Random(12)
+    cases = [(3, (1,), 40), (5, (0, 2, 4), 300), (7, (3,), 40), (7, (1, 3, 5), 200)]
+    for base in range(2, 31):
+        for _ in range(2):
+            low = {c for c in range(base) if c < base - 1 - c and rng.random() < 0.5}
+            if base % 2 and rng.random() < 0.5:
+                low.add((base - 1) // 2)
+            digits = tuple(sorted(low | {base - 1 - c for c in low}))
+            if 0 < len(digits) < base:
+                cases.append((base, digits, rng.randrange(1, 70)))
+            digits = tuple(sorted(rng.sample(range(base), rng.randrange(1, base))))
+            cases.append((base, digits, rng.randrange(1, 70)))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [1, 16, sieve._BUDGET])
+def test_mirrored_sieve_matches_full_tree(monkeypatch, budget):
+    # oracle for the reflection x -> 1 - x: the low half of a symmetric
+    # set's tree plus the mirror rows equals the whole tree; a
+    # non-symmetric set walks the whole tree and mirrors nothing
+    monkeypatch.setattr(sieve, "_BUDGET", budget)
+    cases = _reflection_cases()
+    assert sum(all(b - 1 - c in d for c in d) for b, d, _ in cases) > 40
+    for base, digits, T in cases:
+        got = members_up_to(base, digits, T)
+        assert np.array_equal(got, _full_tree(base, digits, T)), (base, digits, T)
+    # the only member of base 3 {1} and base 7 {3} is 1/2, on the
+    # all-middle path
+    assert members_up_to(3, (1,), 40).tolist() == [[1, 2]]
+    assert members_up_to(7, (3,), 40).tolist() == [[1, 2]]
 
 
 @settings(deadline=None, max_examples=25)
