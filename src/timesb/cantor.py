@@ -28,6 +28,13 @@ leaves the remainder as e, below (2b-1)*d < 2^63.  Once S > d a node holds at
 most one a, and the sieve's walk settles its tail r/d past P, r = a*S - P*d =
 S*[e > 0] - e (r = 0 is the tail 0^inf, r = d is (b-1)^inf).  A value on two
 nodes' edge is kept once; a level wider than _BUDGET is descended in halves.
+
+A member's witness is its eventually periodic expansion.  For a/d reduced
+the preperiod mu is fixed by the part of d shared with b, and the period is
+the cycle of r -> b*r mod d.  _witness_digits walks one fraction in plain
+integers (member, enumerate_members and the tests' oracles); _witness_rows
+walks chunks of the sieve's rows in lock-step for enumerate --max-den and
+gives the same digits.
 """
 
 from __future__ import annotations
@@ -262,6 +269,87 @@ def _witness_digits(ds: DigitSet, num: int, den: int) -> tuple[list, list] | Non
         if good[b - 1] and all(good[d] for d in digits[:cut]):
             return digits[:cut], [b - 1]
     return None
+
+
+def _witness_rows(
+    ds: DigitSet, rows: np.ndarray
+) -> Iterator[tuple[int, int, list, list]]:
+    """(num, den, preperiod, period) of every reduced member row (num, den)
+    of int64 rows, in row order: _witness_digits over one vectorised walk
+    per chunk of rows.
+
+    The preperiod mu counts the rounds of d //= gcd(d, b) until the gcd is
+    1.  All rows walk r -> b*r mod den in lock-step from r = num, and a row
+    ends when r comes back to r_mu after at least mu + 1 steps (num, in the
+    preperiod when mu >= 1, never comes back): a terminating row ends on
+    period (0).  A row whose digits are not all good takes the dual of a
+    terminating value; a row with neither raises InvariantError.  The
+    sieve's guard keeps den < 2^31, so b*r stays far inside int64.
+    """
+    import numpy as np
+
+    b = ds.base
+    good = np.zeros(b, dtype=bool)
+    good[list(ds.digits)] = True
+    size = _BUDGET // 4
+    for start in range(0, len(rows), size):
+        num, den = rows[start : start + size].T
+        mu, d = np.zeros_like(den), den
+        g = np.gcd(d, b)
+        while (g > 1).any():
+            mu += g > 1
+            d = d // g
+            g = np.gcd(d, b)
+        one = num == den  # the value 1 is ([], [b-1]), walked by no row
+        length = np.zeros_like(den)
+        rounds = []
+        row = np.flatnonzero(~one)
+        r, q, back, m = num[row], den[row], num[row], mu[row]
+        while row.size:
+            c, r = np.divmod(b * r, q)
+            rounds.append((row, c))
+            end = r == back
+            length[row[end]] = len(rounds)
+            hit = m == len(rounds)
+            back[hit] = r[hit]  # r_mu, once step mu is reached
+            live = np.flatnonzero(~end)
+            row, r, q, back, m = row[live], r[live], q[live], back[live], m[live]
+        off = np.zeros(den.size + 1, dtype=np.int64)
+        np.cumsum(length, out=off[1:])
+        flat = np.zeros(off[-1] + 1, dtype=np.int64)  # a spare slot at -1
+        for i, (row, c) in enumerate(rounds):
+            flat[off[row] + i] = c
+        bad = np.zeros(flat.size + 1, dtype=np.int64)
+        np.cumsum(~good[flat], out=bad[1:])
+        head, cut = off[:-1], off[:-1] + mu
+        greedy = bad[off[1:]] == bad[head]
+        # the dual of 0.c1..ck(0) is 0.c1..(ck - 1)(b-1)(b-1)..; ck >= 1 on a
+        # reduced row, and tip = -1 only where mu = 0, which has no dual
+        tip = cut - 1
+        dual = (
+            ~greedy & (d == 1) & (mu >= 1) & good[b - 1]
+            & good[flat[tip] - 1] & (bad[tip] == bad[head])
+        )
+        ok = np.where(one, good[b - 1], greedy | dual)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InvariantError(
+                f"sieve member {num[i]}/{den[i]} has no expansion "
+                f"in digits {ds.digits}"
+            )
+        digits = flat.tolist()
+        for a, n, o, e, k, w in zip(
+            num.tolist(), den.tolist(), head.tolist(), off[1:].tolist(),
+            cut.tolist(), dual.tolist(),
+        ):
+            if a == n:
+                yield a, n, [], [b - 1]
+            elif w:
+                pre = digits[o:k]
+                pre[-1] -= 1
+                yield a, n, pre, [b - 1]
+            else:
+                yield a, n, digits[o:k], digits[k:e]
 
 
 def member_witness(ds: DigitSet, x: Fraction) -> ExpansionInfo | None:

@@ -31,6 +31,7 @@ from .cantor import (
     DigitSet,
     _by_value,
     _witness_digits,
+    _witness_rows,
     count_report,
     dual_expansion,
     enumerate_members,
@@ -232,16 +233,10 @@ def _enumerate_lines(args, ds: DigitSet) -> list[str]:
             "enumerate needs exactly one of --den-form, --max-den, --denominators"
         )
     if args.max_den:
-        pairs = members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
-        lines = []
-        for num, den in _by_value(pairs).tolist():
-            w = _witness_digits(ds, num, den)
-            if w is None:
-                raise InvariantError(
-                    f"sieve member {num}/{den} has no expansion in digits {ds.digits}"
-                )
-            lines.append(_json_line(num, den, *w))
-        return lines
+        if args.max_den >= 10**5:
+            _progress(f"enumerating members with denominators up to {args.max_den}")
+        rows = _by_value(members_up_to(ds.base, ds.digits, args.max_den, args.jobs))
+        return [_json_line(*w) for w in _witness_rows(ds, rows)]
     if args.den_form:
         head, sep, tail = args.den_form.partition("^")
         if sep != "^" or tail != "k" or not head.isdigit() or int(head) < 2:
@@ -397,24 +392,55 @@ def _verify_cosets(rng: random.Random, trials: int) -> None:
             raise InvariantError(f"coset enumeration mismatch at base {b} d {d}")
 
 
+def _seeded_certificate(rng: random.Random):
+    # base 2-10, a digit subset that is not full, S of 1-3 primes not
+    # dividing the base; returns S and the certificate
+    pool = (2, 3, 5, 7, 11, 13)
+    b = rng.randrange(2, 11)
+    digits = tuple(sorted(rng.sample(range(b), rng.randrange(1, b))))
+    usable = [p for p in pool if b % p != 0]
+    S = sorted(rng.sample(usable, rng.randrange(1, min(3, len(usable)) + 1)))
+    return S, enumerate_s_integers(DigitSet(b, digits), build_profile(b, S))
+
+
 def _verify_lattice_exclusion(rng: random.Random, trials: int) -> None:
     # the certificate walks only denominators whose 1/d0 lattice can miss the
     # digit-free gap; the oracle walks every S-smooth d up to a small cap
     cap = 5000
-    pool = (2, 3, 5, 7, 11, 13)
     for _ in range(trials):
-        b = rng.randrange(2, 11)
-        digits = tuple(sorted(rng.sample(range(b), rng.randrange(1, b))))
-        ds = DigitSet(b, digits)
-        usable = [p for p in pool if b % p != 0]
-        S = sorted(rng.sample(usable, rng.randrange(1, min(3, len(usable)) + 1)))
-        cert = enumerate_s_integers(ds, build_profile(b, S))
+        S, cert = _seeded_certificate(rng)
+        ds = cert.digit_set
         dens = smooth_denominators(S, min(cert.max_denominator, cap))
         want = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
         got = [pair for pair in cert.members if pair[0].denominator <= cap]
         if got != want:
             raise InvariantError(
-                f"lattice exclusion lost members: base {b} digits {digits} primes {S}"
+                f"lattice exclusion lost members: base {ds.base} "
+                f"digits {ds.digits} primes {S}"
+            )
+
+
+def _verify_sieve_certificate(rng: random.Random, trials: int) -> None:
+    # two routes to the members with S-smooth d <= T: the sieve's digit tree
+    # over every d, and the certificate's per-denominator descent over the d
+    # its lattice exclusion keeps
+    for _ in range(trials):
+        S, cert = _seeded_certificate(rng)
+        ds = cert.digit_set
+        T = min(cert.max_denominator, 1000)
+        smooth = set(smooth_denominators(S, T))
+        sieved = [
+            (n, d)
+            for n, d in members_up_to(ds.base, ds.digits, T).tolist()
+            if d in smooth
+        ]
+        certified = sorted(
+            (x.denominator, x.numerator) for x, _ in cert.members if x.denominator <= T
+        )
+        if sieved != [(n, d) for d, n in certified]:
+            raise InvariantError(
+                f"sieve differs from the certificate: base {ds.base} "
+                f"digits {ds.digits} primes {S} T {T}"
             )
 
 
@@ -466,6 +492,7 @@ _VERIFY_CHECKS = (
     ("sieve_vs_coset_walk", _verify_sieve),
     ("count_parallel_invariance", _verify_count_invariance),
     ("stabilization_growth_thresholds", _verify_growth),
+    ("sieve_vs_certificate", _verify_sieve_certificate),
 )
 
 

@@ -87,7 +87,8 @@ one level above the leaves if the path gets there, and adds the row
 below the root and no mirror. A row can come out twice: 1/2 is its own
 mirror, a value on the edge of two leaves is found in both, and the high
 leaves of the last path node find the mirrors of its low ones. Every copy
-is the same reduced (num, den), so the final np.unique keeps one.
+is the same reduced (num, den), so the final sort and neighbour compare
+keep one.
 
 The tree is walked depth first over blocks of columns under a fixed budget.
 A task starts from a stack of (depth, state) blocks pushed in rising depth
@@ -380,5 +381,11 @@ def members_up_to(
     if members.size == 0:
         return members.reshape(0, 2)
     packed = members[:, 1] * np.int64(T + 1) + members[:, 0]
-    packed = np.unique(packed)  # also drops a boundary row two leaves share
+    # sorted in place and deduplicated by a neighbour compare: np.unique
+    # would import numpy.ma. This also drops a boundary row two leaves share
+    packed.sort()
+    first = np.empty(packed.size, dtype=bool)
+    first[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    packed = packed[first]
     return np.stack([packed % (T + 1), packed // (T + 1)], axis=1)

@@ -22,9 +22,10 @@ from timesb.cantor import (
     smooth_denominators,
     sup_distance,
 )
-from timesb.errors import PreconditionError
+from timesb.errors import InvariantError, PreconditionError
 from timesb.numtheory import mult_order_bruteforce, vp
 from timesb.orders import build_profile, split_denominator
+from timesb.sieve import members_up_to
 
 from oracles import coprime_part, orbit_oracle, witness_oracle
 
@@ -524,3 +525,76 @@ def test_member_witness_matches_oracle(base, digits):
             w = member_witness(ds, F(a, d))
             got = None if w is None else (w.preperiod, w.period)
             assert got == witness_oracle(base, digits, F(a, d)), (a, d)
+
+
+def _row_witnesses(ds, rows):
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    return list(cantor._witness_rows(ds, rows))
+
+
+def _scalar_witnesses(ds, rows):
+    return [(a, d, *cantor._witness_digits(ds, a, d)) for a, d in rows]
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize(
+    "base, digits, T",
+    [
+        # no 0: the a/256 that are members only by their dual, and 1
+        (6, (1, 2, 3, 4, 5), 300),
+        (7, (1, 3, 5), 200),
+        # 1/4 on the edge of two nodes, 1/2 = 0.1333.. by its dual
+        (4, (0, 1, 3), 200),
+        # multi-character digits; 12 is missing, so 1 is no member
+        (13, (0, 10, 11), 150),
+    ],
+)
+def test_witness_rows_in_small_chunks(monkeypatch, base, digits, T, chunk):
+    # the vectorised witnesses equal the scalar walk's, chunk by chunk
+    ds = DigitSet(base, digits)
+    rows = cantor._by_value(members_up_to(base, digits, T)).tolist()
+    want = _scalar_witnesses(ds, rows)
+    monkeypatch.setattr(cantor, "_BUDGET", 4 * chunk)
+    assert _row_witnesses(ds, rows) == want
+
+
+def test_witness_rows_multi_character_digits():
+    # base 12 digits 10 and 11 are two characters each in the JSON line
+    ds = DigitSet(12, (0, 10, 11))
+    rows = cantor._by_value(members_up_to(12, ds.digits, 200)).tolist()
+    got = _row_witnesses(ds, rows)
+    assert got == _scalar_witnesses(ds, rows)
+    # 10/11 = 0.(10)(10).. and 1 = 0.(11)(11)..
+    assert (10, 11, [], [10]) in got and got[-1] == (1, 1, [], [11])
+
+
+def test_witness_rows_dual_of_one_quarter():
+    # 1/4 = 0.1 = 0.0333.. in base 4: without the digit 1 only the dual is
+    # good; with {0,1,3} both are and the greedy one wins, while 1/2 = 0.2
+    # takes its dual 0.1333..
+    rows = [(1, 4), (1, 2)]
+    assert _row_witnesses(DigitSet(4, (0, 3)), rows[:1]) == [(1, 4, [0], [3])]
+    ds = DigitSet(4, (0, 1, 3))
+    got = _row_witnesses(ds, rows)
+    assert got == [(1, 4, [1], [0]), (1, 2, [1], [3])]
+    assert got == _scalar_witnesses(ds, rows)
+
+
+def test_witness_rows_value_one():
+    # 1 = 0.(b-1)(b-1).. is a member iff b-1 is allowed
+    assert _row_witnesses(DigitSet(5, (0, 4)), [[0, 1], [1, 1]]) == [
+        (0, 1, [], [0]),
+        (1, 1, [], [4]),
+    ]
+    ds = DigitSet(5, (0, 2))
+    assert cantor._witness_digits(ds, 1, 1) is None
+    with pytest.raises(InvariantError, match="1/1"):
+        _row_witnesses(ds, [[0, 1], [1, 1]])
+
+
+def test_witness_rows_reject_a_forged_non_member():
+    # 1/2 = 0.111.. in base 3 has one expansion, and it uses the digit 1
+    ds = DigitSet(3, (0, 2))
+    assert cantor._witness_digits(ds, 1, 2) is None
+    with pytest.raises(InvariantError, match="1/2"):
+        _row_witnesses(ds, [[0, 1], [1, 3], [1, 2], [2, 3]])

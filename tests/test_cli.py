@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timesb import cli, numtheory, sieve
+from timesb import cantor, cli, numtheory, sieve
 from timesb.bounds import BOUNDS_CSV_HEADER, aggregate_constants, bound_report
 from timesb.cantor import DigitSet
 from timesb.rational import frac_str
@@ -251,7 +252,8 @@ def test_bounds_csv_and_summary(capsys):
 def test_verify_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "3")
     assert code == 0
-    assert len(out1.splitlines()) == 8
+    assert len(out1.splitlines()) == 9
+    assert out1.splitlines()[-1] == "ok sieve_vs_certificate (5 trials)"
     assert all(line.startswith("ok ") for line in out1.splitlines())
     code, out2, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "3")
     assert out1 == out2
@@ -470,6 +472,46 @@ def test_enumerate_rejects_row_without_good_expansion(capsys, monkeypatch):
     )
     assert code == 3 and out == ""
     assert "1/36" in err
+
+
+def _scalar_enumerate_stdout(ds, T):
+    # the sieve's rows in value order, each witness from its own scalar walk
+    rows = cantor._by_value(members_up_to(ds.base, ds.digits, T)).tolist()
+    out = []
+    for a, d in rows:
+        pre, period = cantor._witness_digits(ds, a, d)
+        rec = {"num": a, "den": d, "preperiod": pre, "period": period}
+        out.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("base", range(2, 31))
+def test_enumerate_max_den_bytes_match_scalar_witnesses(capsys, base):
+    # a seeded digit set per base; bases 11 and up print two-character digits
+    rng = random.Random(0x51DE + base)
+    ds = DigitSet(base, tuple(rng.sample(range(base), rng.randrange(1, base))))
+    T = 200 if base <= 10 else 90
+    code, out, err = run_cli(
+        capsys, "enumerate", "--base", str(base),
+        "--digits", ",".join(map(str, ds.digits)), "--max-den", str(T),
+    )
+    assert code == 0 and err == ""
+    assert out == _scalar_enumerate_stdout(ds, T)
+
+
+def test_enumerate_max_den_progress_on_stderr(capsys, monkeypatch):
+    # T >= 1e5 prints one progress line on stderr and leaves stdout alone;
+    # the sieve is cut to T = 300 so that the test stays small
+    real = cli.members_up_to
+    monkeypatch.setattr(
+        cli, "members_up_to", lambda base, digits, T, jobs: real(base, digits, 300, jobs)
+    )
+    argv = ("enumerate", "--base", "3", "--digits", "0,2", "--max-den")
+    code, small, err = run_cli(capsys, *argv, "300")
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "100000")
+    assert code == 0 and out == small
+    assert err == "enumerating members with denominators up to 100000\n"
 
 
 def _benchmark_digests():

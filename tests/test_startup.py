@@ -15,18 +15,18 @@ ENV = {**os.environ, "PYTHONPATH": SRC}
 HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
 
 # runs cli.main on argv in this fresh interpreter, then prints the exit code
-# and the HEAVY modules it loaded as the last stderr line
+# and the watched modules it loaded as the last stderr line
 _PROBE = (
     "import sys\n"
     "from timesb import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    f"print(code, *(m for m in {HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
+    "print(code, *(m for m in {!r} if m in sys.modules), file=sys.stderr)\n"
 )
 
 
-def loaded_modules(*argv: str) -> list[str]:
+def loaded_modules(*argv: str, watch=HEAVY) -> list[str]:
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-c", _PROBE.format(watch), *argv],
         capture_output=True, text=True, env=ENV, timeout=60,
     )
     code, *loaded = proc.stderr.splitlines()[-1].split()
@@ -53,6 +53,19 @@ def test_exact_commands_import_no_numpy_and_no_pool(argv):
 def test_count_at_one_job_imports_no_pool():
     argv = "count --base 3 --digits 0,2 --max-den 500 --jobs 1".split()
     assert loaded_modules(*argv) == ["numpy"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --base 3 --digits 0,2 --max-den 500 --jobs 1",
+        "enumerate --base 3 --digits 0,2 --max-den 500 --jobs 1",
+    ],
+)
+def test_sieve_commands_load_no_numpy_ma(argv):
+    # the sieve's final dedup and the enumerate witnesses stay clear of
+    # np.unique, which imports numpy.ma on its first call
+    assert loaded_modules(*argv.split(), watch=("numpy", "numpy.ma")) == ["numpy"]
 
 
 def test_pool_forked_after_first_numpy_import_keeps_bytes():
