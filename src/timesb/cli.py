@@ -14,39 +14,41 @@ invariant failure or a dead worker process.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import random
 import sys
 from fractions import Fraction
 from math import gcd, prod
+from types import ModuleType
 
-from .bounds import (
-    BOUNDS_CSV_HEADER,
-    aggregate_constants,
-    member_bound_reports,
-    stabilization_growth_check,
-)
-from .cantor import (
-    DigitSet,
-    _by_value,
-    _witness_digits,
-    _witness_rows,
-    count_report,
-    dual_expansion,
-    enumerate_members,
-    enumerate_s_integers,
-    expand,
-    member_witness,
-    reduced_members_up_to,
-    smooth_denominators,
-)
 from .errors import InvariantError, PreconditionError
 from .numtheory import factorize, mult_order_bruteforce
 from .orbit import decompose, density_bound, orbit
 from .orders import build_profile, order_from_profile
 from .rational import frac_str, parse_fraction
-from .sieve import members_up_to
+
+
+def _on_first_use(child: str) -> ModuleType:
+    """The submodule `child`, entered in sys.modules now and run on its first
+    attribute access: a command that never uses it never compiles it, while
+    code that looks for every timesb layer in sys.modules once this module
+    is imported (perfbench's tracer) still finds it there."""
+    name = f"{__package__}.{child}"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        setattr(sys.modules[__package__], child, module)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+bounds = _on_first_use("bounds")
+cantor = _on_first_use("cantor")
+sieve = _on_first_use("sieve")
 
 BRUTE_VERIFY_LIMIT = 10**6
 
@@ -127,7 +129,7 @@ def cmd_order(args) -> int:
 
 def cmd_profile(args) -> int:
     profile = build_profile(args.base, args.primes)
-    ok, rows = stabilization_growth_check(profile)
+    ok, rows = bounds.stabilization_growth_check(profile)
     out = profile.to_json_dict()
     out["growth_ok"] = ok
     out["growth"] = [
@@ -150,9 +152,9 @@ def cmd_orbit(args) -> int:
         if not args.primes:
             raise PreconditionError("--decompose needs --primes")
         profile = build_profile(args.base, args.primes)
-        _emit(decompose(profile, x).to_json_dict())
+        print(decompose(profile, x).to_json())
     else:
-        _emit(orbit(args.base, x).to_json_dict())
+        print(orbit(args.base, x).to_json())
     return 0
 
 
@@ -173,16 +175,16 @@ def cmd_density(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    ds = DigitSet(args.base, tuple(args.digits))
+    ds = cantor.DigitSet(args.base, tuple(args.digits))
     profile = build_profile(args.base, args.primes)
-    cert = enumerate_s_integers(ds, profile, args.epsilon)
+    cert = cantor.enumerate_s_integers(ds, profile, args.epsilon)
     _emit(cert.to_json_dict())
     return 0
 
 
 def cmd_member(args) -> int:
-    ds = DigitSet(args.base, tuple(args.digits))
-    w = member_witness(ds, args.frac)
+    ds = cantor.DigitSet(args.base, tuple(args.digits))
+    w = cantor.member_witness(ds, args.frac)
     _emit(
         {
             "base": args.base,
@@ -198,8 +200,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    info = expand(args.base, args.frac)
-    dual = dual_expansion(info)
+    info = cantor.expand(args.base, args.frac)
+    dual = cantor.dual_expansion(info)
     out = info.to_json_dict()
     out["base"] = args.base
     out["fraction"] = frac_str(args.frac)
@@ -223,7 +225,7 @@ def _json_line(num: int, den: int, pre, period) -> str:
     )
 
 
-def _enumerate_lines(args, ds: DigitSet) -> list[str]:
+def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
     """The JSON line of every member, value-ascending."""
     sources = sum(
         1 for flag in (args.den_form, args.max_den, args.denominators) if flag
@@ -235,8 +237,9 @@ def _enumerate_lines(args, ds: DigitSet) -> list[str]:
     if args.max_den:
         if args.max_den >= 10**5:
             _progress(f"enumerating members with denominators up to {args.max_den}")
-        rows = _by_value(members_up_to(ds.base, ds.digits, args.max_den, args.jobs))
-        return [_json_line(*w) for w in _witness_rows(ds, rows)]
+        rows = sieve.members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
+        rows = cantor._by_value(rows)
+        return [_json_line(*w) for w in cantor._witness_rows(ds, rows)]
     if args.den_form:
         head, sep, tail = args.den_form.partition("^")
         if sep != "^" or tail != "k" or not head.isdigit() or int(head) < 2:
@@ -247,7 +250,7 @@ def _enumerate_lines(args, ds: DigitSet) -> list[str]:
         dens = [base**k for k in range(args.max_exp + 1)]
     else:
         dens = args.denominators
-    pairs = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
+    pairs = sorted(cantor.enumerate_members(ds, dens), key=lambda pair: pair[0])
     return [
         _json_line(x.numerator, x.denominator, w.preperiod, w.period)
         for x, w in pairs
@@ -255,7 +258,7 @@ def _enumerate_lines(args, ds: DigitSet) -> list[str]:
 
 
 def cmd_enumerate(args) -> int:
-    ds = DigitSet(args.base, tuple(args.digits))
+    ds = cantor.DigitSet(args.base, tuple(args.digits))
     # every line is built before the first is written, so that a row with
     # no good expansion leaves stdout empty
     sys.stdout.writelines(_enumerate_lines(args, ds))
@@ -263,10 +266,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    ds = DigitSet(args.base, tuple(args.digits))
+    ds = cantor.DigitSet(args.base, tuple(args.digits))
     if args.max_den >= 10**5:
         _progress(f"counting members with denominators up to {args.max_den}")
-    rep = count_report(
+    rep = cantor.count_report(
         ds, args.max_den, coprime_to_b_only=args.coprime, jobs=args.jobs
     )
     if args.format == "json":
@@ -287,13 +290,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    ds = DigitSet(args.base, tuple(args.digits))
+    ds = cantor.DigitSet(args.base, tuple(args.digits))
     eps = args.epsilon if args.epsilon is not None else ds.epsilon_exact
     if args.max_den >= 10**5:
         _progress(f"enumerating members up to {args.max_den} for bound reports")
-    rows = _by_value(members_up_to(ds.base, ds.digits, args.max_den, args.jobs))
-    reports = member_bound_reports(ds.base, eps, rows)
-    summary = aggregate_constants(reports) if reports else {"count": 0}
+    rows = sieve.members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
+    rows = cantor._by_value(rows)
+    reports = bounds.member_bound_reports(ds.base, eps, rows)
+    summary = bounds.aggregate_constants(reports) if reports else {"count": 0}
     summary.update(
         {
             "base": ds.base,
@@ -323,7 +327,7 @@ def cmd_bounds(args) -> int:
             }
         )
         return 0
-    print(BOUNDS_CSV_HEADER)
+    print(bounds.BOUNDS_CSV_HEADER)
     for r in reports:
         print(r.csv_row(ds.digits))
     print()
@@ -338,7 +342,7 @@ def _verify_orders(rng: random.Random, trials: int) -> None:
         usable = [p for p in pool if b % p != 0]
         S = sorted(rng.sample(usable, rng.randrange(1, len(usable) + 1)))
         profile = build_profile(b, S)
-        dens = smooth_denominators(S, 10**4)
+        dens = cantor.smooth_denominators(S, 10**4)
         d = rng.choice(dens)
         got = order_from_profile(profile, dict(factorize(d))) if d > 1 else 1
         want = mult_order_bruteforce(b, d)
@@ -364,19 +368,19 @@ def _verify_reconstruction(rng: random.Random, trials: int) -> None:
         d = rng.randrange(1, 2001)
         a = rng.randrange(0, d)
         x = Fraction(a, d)
-        info = expand(b, x)
+        info = cantor.expand(b, x)
         if info.value() != x:
             raise InvariantError(f"expansion of {x} in base {b} does not reconstruct")
 
 
-def _scan_members(ds: DigitSet, dens) -> list[Fraction]:
+def _scan_members(ds: cantor.DigitSet, dens) -> list[Fraction]:
     """Every reduced member a/d over dens, ascending, one scalar membership
     test each: the route that does not use the vectorized walk."""
     return sorted(
         Fraction(a, d)
         for d in dens
         for a in range(d + 1)
-        if gcd(a, d) == 1 and _witness_digits(ds, a, d) is not None
+        if gcd(a, d) == 1 and cantor._witness_digits(ds, a, d) is not None
     )
 
 
@@ -385,9 +389,9 @@ def _verify_cosets(rng: random.Random, trials: int) -> None:
         b = rng.randrange(2, 7)
         size = rng.randrange(1, b)
         digits = tuple(sorted(rng.sample(range(b), size)))
-        ds = DigitSet(b, digits)
+        ds = cantor.DigitSet(b, digits)
         d = rng.randrange(2, 400)
-        got = [x for x, _ in enumerate_members(ds, [d])]
+        got = [x for x, _ in cantor.enumerate_members(ds, [d])]
         if got != _scan_members(ds, [d]):
             raise InvariantError(f"coset enumeration mismatch at base {b} d {d}")
 
@@ -400,7 +404,8 @@ def _seeded_certificate(rng: random.Random):
     digits = tuple(sorted(rng.sample(range(b), rng.randrange(1, b))))
     usable = [p for p in pool if b % p != 0]
     S = sorted(rng.sample(usable, rng.randrange(1, min(3, len(usable)) + 1)))
-    return S, enumerate_s_integers(DigitSet(b, digits), build_profile(b, S))
+    ds = cantor.DigitSet(b, digits)
+    return S, cantor.enumerate_s_integers(ds, build_profile(b, S))
 
 
 def _verify_lattice_exclusion(rng: random.Random, trials: int) -> None:
@@ -410,8 +415,8 @@ def _verify_lattice_exclusion(rng: random.Random, trials: int) -> None:
     for _ in range(trials):
         S, cert = _seeded_certificate(rng)
         ds = cert.digit_set
-        dens = smooth_denominators(S, min(cert.max_denominator, cap))
-        want = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
+        dens = cantor.smooth_denominators(S, min(cert.max_denominator, cap))
+        want = sorted(cantor.enumerate_members(ds, dens), key=lambda pair: pair[0])
         got = [pair for pair in cert.members if pair[0].denominator <= cap]
         if got != want:
             raise InvariantError(
@@ -428,10 +433,10 @@ def _verify_sieve_certificate(rng: random.Random, trials: int) -> None:
         S, cert = _seeded_certificate(rng)
         ds = cert.digit_set
         T = min(cert.max_denominator, 1000)
-        smooth = set(smooth_denominators(S, T))
+        smooth = set(cantor.smooth_denominators(S, T))
         sieved = [
             (n, d)
-            for n, d in members_up_to(ds.base, ds.digits, T).tolist()
+            for n, d in sieve.members_up_to(ds.base, ds.digits, T).tolist()
             if d in smooth
         ]
         certified = sorted(
@@ -450,9 +455,9 @@ def _verify_sieve(rng: random.Random, trials: int) -> None:
     for _ in range(trials):
         b = rng.randrange(2, 11)
         digits = tuple(sorted(rng.sample(range(b), rng.randrange(1, b))))
-        ds = DigitSet(b, digits)
+        ds = cantor.DigitSet(b, digits)
         T = rng.randrange(1, 301)
-        got = reduced_members_up_to(ds, T)
+        got = cantor.reduced_members_up_to(ds, T)
         if got != _scan_members(ds, range(1, T + 1)):
             raise InvariantError(
                 f"sieve differs from the scalar scan: base {b} digits {digits} T {T}"
@@ -464,10 +469,10 @@ def _verify_count_invariance(rng: random.Random, trials: int) -> None:
         b = rng.randrange(2, 6)
         size = rng.randrange(1, b)
         digits = tuple(sorted(rng.sample(range(b), size)))
-        ds = DigitSet(b, digits)
+        ds = cantor.DigitSet(b, digits)
         T = rng.randrange(1, 300)
-        serial = count_report(ds, T, jobs=1)
-        parallel = count_report(ds, T, jobs=2)
+        serial = cantor.count_report(ds, T, jobs=1)
+        parallel = cantor.count_report(ds, T, jobs=2)
         if serial != parallel:
             raise InvariantError(f"count changed under parallelism: {ds} T {T}")
 
@@ -478,7 +483,7 @@ def _verify_growth(rng: random.Random, trials: int) -> None:
         b = rng.randrange(2, 51)
         usable = [p for p in primes_pool if b % p != 0]
         S = sorted(rng.sample(usable, rng.randrange(1, 5)))
-        ok, rows = stabilization_growth_check(build_profile(b, S))
+        ok, rows = bounds.stabilization_growth_check(build_profile(b, S))
         if not ok:
             raise InvariantError(f"growth threshold exceeded for base {b} primes {S}")
 
@@ -582,6 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # nothing here calls BLAS, but numpy's bundled OpenBLAS starts a pool of
+    # threads when numpy is imported unless this says otherwise
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

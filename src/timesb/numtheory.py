@@ -231,12 +231,12 @@ def mult_order_bruteforce(base: int, modulus: int) -> int:
     if gcd(base, modulus) != 1:
         raise PreconditionError(f"gcd({base}, {modulus}) != 1, no order")
     b = base % modulus
-    x = b
-    k = 1
-    while x != 1:
+    x = 1
+    for k in range(1, modulus):  # the order divides phi(modulus) < modulus
         x = x * b % modulus
-        k += 1
-    return k
+        if x == 1:
+            return k
+    raise InvariantError(f"no order of {base} mod {modulus}")
 
 
 def _as_factor_pairs(exponent_factors) -> list[tuple[int, int]]:

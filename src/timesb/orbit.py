@@ -2,16 +2,20 @@
 
 An orbit of a/d is finite: every point is r/d for a remainder r in [0, d),
 and one step is r -> b*r mod d, so the orbit is a walk over integer
-remainders that ends at the first repeat. The walk shows a transient while
-powers of primes shared with b drain out of the denominator, then a cycle
-through the remainders whose points have the surviving, coprime denominator.
-For denominators built from a fixed prime set the cycle is a union of
-arithmetic progressions (the capped-part orbit shifted by multiples of 1/d0),
-which is what makes the effective density bound D work.
+remainders. Its transient lasts while powers of primes shared with b drain
+out of the denominator: mu rounds of q //= gcd(q, b), from q = den(a/d),
+leave the coprime part of q, and every later point has that reduced
+denominator, so the walk knows where its cycle starts before it takes a
+step and ends when the cycle comes back round. For denominators built from
+a fixed prime set the cycle is a union of arithmetic progressions (the
+capped-part orbit shifted by multiples of 1/d0), which is what makes the
+effective density bound D work.
 
 One private walk, `_remainder_walk`, serves `orbit`, `decompose` and the
-digit expansions in `timesb.cantor`. An orbit keeps its remainders and prints
-each point r/d with one gcd; `Fraction`s are built only when asked for.
+digit expansions in `timesb.cantor`. An orbit keeps its remainders and
+writes its points as JSON text with one gcd per run of points sharing a
+reduced denominator (each transient point, then the whole cycle);
+`Fraction`s are built only when asked for.
 """
 
 from __future__ import annotations
@@ -37,28 +41,47 @@ def _remainder_walk(
     base: int, num: int, den: int, good: Sequence[bool] | None = None
 ) -> tuple[list[int], int | None]:
     """Remainders num, b*num mod den, ... up to the first repeat, and the
-    index where the cycle starts (the preperiod). Given a digit table good,
-    the walk ends with index None at the first remainder r whose digit
-    b*r // den is not good."""
-    seen: dict[int, int] = {}
+    index where the cycle starts (the preperiod), for 0 <= num < den. Given
+    a digit table good, the walk ends with index None at the first remainder
+    r whose digit b*r // den is not good.
+
+    The preperiod mu is the number of rounds of q //= gcd(q, b) from
+    q = den // gcd(num, den); the cycle starts at r_mu = num * b^mu mod den
+    and the walk ends when r comes back to it."""
+    mu, q = 0, den // gcd(num, den)
+    while (g := gcd(q, base)) > 1:
+        q //= g
+        mu += 1
+    start = num * pow(base, mu, den) % den
     rems: list[int] = []
     r = num
-    while r not in seen:
+    while True:
         if good is not None and not good[base * r // den]:
             return rems, None
-        seen[r] = len(rems)
         rems.append(r)
         r = base * r % den
-    return rems, seen[r]
+        if r == start and len(rems) > mu:
+            return rems, mu
 
 
-def _point_strs(remainders: Iterable[int], den: int) -> list[str]:
-    """Each point r/den as frac_str prints it, with one gcd per point."""
-    out = []
-    for r in remainders:
-        g = gcd(r, den)
-        out.append(str(r // g) if g == den else f"{r // g}/{den // g}")
-    return out
+def _points_json(rems: Sequence[int], den: int, cut: int) -> str:
+    """The JSON list of frac_str(Fraction(r, den)) over rems, as json.dumps
+    writes it with separators (",", ":"), for the remainders of an orbit of
+    a reduced fraction over den with its cycle from index cut. Each
+    transient point has a reduced denominator of its own; every cycle point
+    has the same one, so one gcd and one join write the whole cycle."""
+    runs = [rems[i : i + 1] for i in range(cut)]
+    runs.append(rems[cut:])
+    parts = []
+    for run in runs:
+        g = gcd(run[0], den)
+        if g == den:  # the cycle (0)
+            parts.append('"0"')
+            continue
+        tail = f"/{den // g}"
+        nums = run if g == 1 else [r // g for r in run]
+        parts.append('"' + f'{tail}","'.join(map(str, nums)) + tail + '"')
+    return "[" + ",".join(parts) + "]"
 
 
 @dataclass(frozen=True)
@@ -81,14 +104,14 @@ class OrbitInfo:
     def cycle(self) -> tuple[Fraction, ...]:
         return self.points[self.preperiod :]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "start": frac_str(self.start),
-            "points": _point_strs(self.remainders, self.start.denominator),
-            "preperiod": self.preperiod,
-            "period": self.period,
-        }
+    def to_json(self) -> str:
+        """base, period, points (as frac_str), preperiod and start as one
+        line of compact JSON with sorted keys."""
+        points = _points_json(self.remainders, self.start.denominator, self.preperiod)
+        return (
+            f'{{"base":{self.base},"period":{self.period},"points":{points},'
+            f'"preperiod":{self.preperiod},"start":"{frac_str(self.start)}"}}'
+        )
 
 
 def orbit(base: int, x: Fraction) -> OrbitInfo:
@@ -128,18 +151,16 @@ class OrbitDecomposition:
 
     a2 = a1
 
-    def to_json_dict(self) -> dict:
-        points = _point_strs(self.remainders, self.start.denominator)
-        return {
-            "base": self.base,
-            "fraction": frac_str(self.start),
-            "d0": self.split.d0,
-            "d1": self.split.d1,
-            "order": self.order,
-            "a1": points,
-            "a2": points,
-            "a1_equals_a2": True,  # decompose raises when they differ
-        }
+    def to_json(self) -> str:
+        """a1 and a2 (as frac_str; one text, since decompose raises when
+        they differ), base, d0, d1, fraction and order as one line of
+        compact JSON with sorted keys."""
+        points = _points_json(self.remainders, self.start.denominator, 0)
+        return (
+            f'{{"a1":{points},"a1_equals_a2":true,"a2":{points},'
+            f'"base":{self.base},"d0":{self.split.d0},"d1":{self.split.d1},'
+            f'"fraction":"{frac_str(self.start)}","order":{self.order}}}'
+        )
 
 
 def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
@@ -147,7 +168,8 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
 
     Both descriptions are compared as sorted numerators over d = den(x):
     A1 is the remainder walk of x itself, and A2 shifts each remainder q of
-    the walk mod d1 by j/d0, i.e. q/d + j/d0 = (q + j*d1)/d for j < d0.
+    the walk mod d1 by j/d0, i.e. q/d + j/d0 = (q + j*d1)/d for j < d0;
+    with the q ascending and q < d1, A2 comes out sorted.
 
     Requires den(x) composed of the profile's primes (hence coprime to the
     base). Raises InvariantError if the two constructions disagree; that
@@ -169,12 +191,8 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
 
     d0, d1 = split.d0, split.d1
     inner, _ = _remainder_walk(profile.base, x.numerator % d1, d1)
-    if len(a1) != d0 * len(inner):
-        raise InvariantError(
-            f"|A1| = {len(a1)} but d0 * |orbit mod d1| = "
-            f"{d0 * len(inner)} for {frac_str(x)}"
-        )
-    a2 = sorted(q + j * d1 for q in inner for j in range(d0))
+    inner.sort()
+    a2 = [q + j * d1 for j in range(d0) for q in inner]
 
     if len(a1) != order:
         raise InvariantError(

@@ -97,6 +97,23 @@ def orbit_oracle(base: int, x: Fraction) -> tuple[list[Fraction], int]:
     return points, seen[x]
 
 
+def remainder_walk_oracle(base: int, num: int, den: int, good=None):
+    """Remainders num, b*num mod den, ... up to the first repeat, kept in a
+    dict that finds the repeat, and the index where the cycle starts; with a
+    digit table good, (remainders so far, None) at the first remainder r
+    whose digit b*r // den is not good."""
+    seen: dict[int, int] = {}
+    rems: list[int] = []
+    r = num
+    while r not in seen:
+        if good is not None and not good[base * r // den]:
+            return rems, None
+        seen[r] = len(rems)
+        rems.append(r)
+        r = base * r % den
+    return rems, seen[r]
+
+
 def witness_oracle(base: int, digits, x: Fraction):
     """(preperiod, period) digit tuples of an expansion of x in [0, 1] using
     only the given digits, or None: the greedy digits floor(b*y) along the

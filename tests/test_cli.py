@@ -1,6 +1,7 @@
 """CLI surface: output shapes, exit codes, determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -17,10 +18,15 @@ import pytest
 from timesb import cantor, cli, numtheory, sieve
 from timesb.bounds import BOUNDS_CSV_HEADER, aggregate_constants, bound_report
 from timesb.cantor import DigitSet
+from timesb.numtheory import factorize
+from timesb.orders import build_profile, split_denominator
 from timesb.rational import frac_str
 from timesb.sieve import members_up_to
 
-from oracles import coprime_part, witness_oracle
+from oracles import coprime_part, orbit_oracle, witness_oracle
+
+# the submodule: timesb.orbit, the package attribute, is the function
+orbit_module = importlib.import_module("timesb.orbit")
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +127,93 @@ def test_orbit_and_decompose(capsys):
         "--primes", "3",
     )
     assert code == 0 and '"a1":["0"]' in out and '"a1_equals_a2":true' in out
+
+
+def _seeded_orbit_cases():
+    # (base, --frac, --primes or None) at bases 2-12: plain orbits of a/d
+    # given unreduced, of a preperiodic b^3 * 7 denominator and of 0, and
+    # decompositions of a/d with d coprime to b, 0 among them
+    rng = random.Random(0x0E17)
+    cases = []
+    for b in range(2, 13):
+        for _ in range(6):
+            d = rng.randrange(1, 3000)
+            k = rng.randrange(1, 4)
+            cases.append((b, f"{rng.randrange(d) * k}/{d * k}", None))
+        cases += [(b, f"5/{b**3 * 7}", None), (b, "0", None)]
+        for _ in range(4):
+            d = rng.randrange(2, 3000)
+            while gcd(d, b) != 1:
+                d = rng.randrange(2, 3000)
+            cases.append((b, f"{rng.randrange(d)}/{d}", sorted(factorize(d).primes)))
+        cases.append((b, "0", [next(p for p in (2, 3, 5, 7) if b % p)]))
+    return cases
+
+
+_ORBIT_CASES = _seeded_orbit_cases()
+
+
+def _orbit_stdout_reference(b, x, primes):
+    # the record of every point as frac_str(Fraction(r, d)), from the
+    # Fraction orbit oracle, printed as _emit prints any record
+    points, cut = orbit_oracle(b, x)
+    if primes is None:
+        rec = {
+            "base": b,
+            "start": frac_str(x),
+            "points": [frac_str(p) for p in points],
+            "preperiod": cut,
+            "period": len(points) - cut,
+        }
+    else:
+        split = split_denominator(build_profile(b, primes), factorize(x.denominator))
+        a1 = [frac_str(p) for p in sorted(points)]
+        rec = {
+            "base": b,
+            "fraction": frac_str(x),
+            "d0": split.d0,
+            "d1": split.d1,
+            "order": len(points),
+            "a1": a1,
+            "a2": a1,
+            "a1_equals_a2": True,
+        }
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _orbit_stdout_mismatches(capsys, cases):
+    bad = []
+    for b, frac, primes in cases:
+        argv = ["orbit", "--base", str(b), "--frac", frac]
+        if primes is not None:
+            argv += ["--decompose", "--primes", ",".join(map(str, primes))]
+        _, out, _ = run_cli(capsys, *argv)
+        if out != _orbit_stdout_reference(b, Fraction(frac), primes):
+            bad.append(" ".join(argv))
+    return bad
+
+
+def test_orbit_stdout_matches_per_point_route(capsys):
+    assert _orbit_stdout_mismatches(capsys, _ORBIT_CASES) == []
+
+
+def test_orbit_stdout_check_catches_a_walk_one_step_short(capsys, monkeypatch):
+    # the mutation the check above must see; orbits with a one-point cycle
+    # would lose it whole, so they are left out
+    real = orbit_module._remainder_walk
+
+    def short(*args):
+        rems, cut = real(*args)
+        return rems[:-1], cut
+
+    def period(case):
+        points, cut = orbit_oracle(case[0], Fraction(case[1]))
+        return len(points) - cut
+
+    cases = [c for c in _ORBIT_CASES if period(c) > 1]
+    monkeypatch.setattr(orbit_module, "_remainder_walk", short)
+    assert len(cases) > 100
+    assert len(_orbit_stdout_mismatches(capsys, cases)) == len(cases)
 
 
 def test_orbit_layer_stdout_matches_benchmark_digests(capsys):
@@ -294,7 +387,7 @@ def test_resource_failures_exit_without_traceback(capsys, monkeypatch, error, wa
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "count_report", fail)
+        monkeypatch.setattr(cantor, "count_report", fail)
     code, out, err = run_cli(
         capsys, "count", "--base", "3", "--digits", "0,2", "--max-den", "50",
         "--jobs", "2",
@@ -461,12 +554,12 @@ def test_integer_stream_matches_fraction_route(capsys, base, digits, T, jobs):
 def test_enumerate_rejects_row_without_good_expansion(capsys, monkeypatch):
     # 1/36 = 0.01 in base 6 and its dual 0.00555... both use the digit 0, so a
     # sieve that let it through must end in an invariant failure, not a line
-    real = cli.members_up_to
+    real = sieve.members_up_to
 
     def with_intruder(base, digits, T, jobs):
         return np.concatenate([real(base, digits, T, jobs), [[1, 36]]])
 
-    monkeypatch.setattr(cli, "members_up_to", with_intruder)
+    monkeypatch.setattr(sieve, "members_up_to", with_intruder)
     code, out, err = run_cli(
         capsys, "enumerate", "--base", "6", "--digits", "1,2,3,4,5", "--max-den", "40"
     )
@@ -502,9 +595,9 @@ def test_enumerate_max_den_bytes_match_scalar_witnesses(capsys, base):
 def test_enumerate_max_den_progress_on_stderr(capsys, monkeypatch):
     # T >= 1e5 prints one progress line on stderr and leaves stdout alone;
     # the sieve is cut to T = 300 so that the test stays small
-    real = cli.members_up_to
+    real = sieve.members_up_to
     monkeypatch.setattr(
-        cli, "members_up_to", lambda base, digits, T, jobs: real(base, digits, 300, jobs)
+        sieve, "members_up_to", lambda base, digits, T, jobs: real(base, digits, 300, jobs)
     )
     argv = ("enumerate", "--base", "3", "--digits", "0,2", "--max-den")
     code, small, err = run_cli(capsys, *argv, "300")

@@ -1,3 +1,5 @@
+import importlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timesb.errors import PreconditionError
+from timesb.errors import InvariantError, PreconditionError
 from timesb.numtheory import mult_order_bruteforce
 from timesb.orbit import (
+    _remainder_walk,
     cover_radius,
     decompose,
     density_bound,
@@ -17,9 +20,29 @@ from timesb.orbit import (
 )
 from timesb.orders import build_profile
 
-from oracles import coprime_part, cover_radius_oracle, orbit_oracle
+from oracles import (
+    coprime_part,
+    cover_radius_oracle,
+    orbit_oracle,
+    remainder_walk_oracle,
+)
 
 F = Fraction
+# the submodule: timesb.orbit, the package attribute, is the function
+orbit_module = importlib.import_module("timesb.orbit")
+
+
+@pytest.mark.parametrize("base", range(2, 13))
+def test_remainder_walk_matches_dict_walk(base):
+    # every 0 <= a < d <= 120, a = 0 and non-reduced a included, with no
+    # digit table and with two seeded ones
+    rng = random.Random(0xCAFE + base)
+    tables = [None] + [[rng.random() < 0.7 for _ in range(base)] for _ in range(2)]
+    for d in range(1, 121):
+        for a in range(d):
+            for good in tables:
+                want = remainder_walk_oracle(base, a, d, good)
+                assert _remainder_walk(base, a, d, good) == want, (a, d, good)
 
 
 def test_orbit_examples():
@@ -42,7 +65,7 @@ def test_orbit_examples():
 
 
 def test_orbit_json_round():
-    d = orbit(2, F(1, 12)).to_json_dict()
+    d = json.loads(orbit(2, F(1, 12)).to_json())
     assert d["points"] == ["1/12", "1/6", "1/3", "2/3"]
     assert d["preperiod"] == 2 and d["period"] == 2
 
@@ -106,7 +129,36 @@ def test_decompose_examples():
     dec = decompose(prof35, F(1, 160))
     assert dec.split.d0 == 2
     assert dec.order == mult_order_bruteforce(3, 160)
-    assert dec.to_json_dict()["a1_equals_a2"] is True
+    assert json.loads(dec.to_json())["a1_equals_a2"] is True
+
+
+def _inner_walk_shifted(real):
+    # the walk, with every remainder of its second call (the walk mod d1
+    # in decompose) moved on by one
+    calls = []
+
+    def walk(base, num, den, good=None):
+        calls.append(den)
+        rems, cut = real(base, num, den, good)
+        return (rems if len(calls) == 1 else [(r + 1) % den for r in rems]), cut
+
+    return walk
+
+
+@pytest.mark.parametrize(
+    "name, broken, message",
+    [
+        ("_remainder_walk", lambda real: lambda *a: (real(*a)[0], 1), "not purely"),
+        ("_order_of_split", lambda real: lambda *a: real(*a) + 1, "closed-form order"),
+        ("_remainder_walk", _inner_walk_shifted, "A1 != A2"),
+    ],
+)
+def test_decompose_checks_raise(monkeypatch, name, broken, message):
+    # each of the three checks (the walk closes, |A1| = order, A1 = A2)
+    # turns a broken input into an InvariantError
+    monkeypatch.setattr(orbit_module, name, broken(getattr(orbit_module, name)))
+    with pytest.raises(InvariantError, match=message):
+        decompose(build_profile(2, [3]), F(1, 9))
 
 
 def test_decompose_rejects_shared_factor():
