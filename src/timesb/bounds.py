@@ -181,10 +181,6 @@ class GrowthRow:
     cap_cap: float
 
     @property
-    def stable_slack(self) -> float:
-        return self.stable_cap - self.stable_exp
-
-    @property
     def cap_slack(self) -> float:
         return self.cap_cap - self.cap_exp
 

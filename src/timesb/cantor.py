@@ -31,9 +31,10 @@ nodes' edge is kept once; a level wider than _BUDGET is descended in halves.
 
 A member's witness is its eventually periodic expansion.  For a/d reduced
 the preperiod mu is fixed by the part of d shared with b, and the period is
-the cycle of r -> b*r mod d.  _witness_digits walks one fraction in plain
-integers (member, enumerate_members and the tests' oracles); _witness_rows
-walks chunks of the sieve's rows in lock-step for enumerate --max-den and
+the cycle of r -> b*r mod d.  _witness_rows walks chunks of (num, den) int
+rows in lock-step and yields the one member record (num, den, preperiod,
+period) that enumerate, certify and enumerate_members print; _witness_digits
+walks one fraction in plain integers (member and the tests' oracles) and
 gives the same digits.
 """
 
@@ -130,9 +131,6 @@ class DigitSet:
     @property
     def max_value(self) -> Fraction:
         return Fraction(self.digits[-1], self.base - 1)
-
-    def to_json_dict(self) -> dict:
-        return {"base": self.base, "digits": list(self.digits)}
 
 
 def farthest_point(ds: DigitSet) -> tuple[Fraction, Fraction]:
@@ -283,15 +281,15 @@ def _witness_rows(
     ends when r comes back to r_mu after at least mu + 1 steps (num, in the
     preperiod when mu >= 1, never comes back): a terminating row ends on
     period (0).  A row whose digits are not all good takes the dual of a
-    terminating value; a row with neither raises InvariantError.  The
-    sieve's guard keeps den < 2^31, so b*r stays far inside int64.
+    terminating value; a row with neither raises InvariantError.  Every
+    caller keeps den <= 2^62/b, so b*r < b*den <= 2^62 stays inside int64.
     """
     import numpy as np
 
     b = ds.base
     good = np.zeros(b, dtype=bool)
     good[list(ds.digits)] = True
-    size = _BUDGET // 4
+    size = max(1, _BUDGET // 4)
     for start in range(0, len(rows), size):
         num, den = rows[start : start + size].T
         mu, d = np.zeros_like(den), den
@@ -334,7 +332,7 @@ def _witness_rows(
         if not ok.all():
             i = int(np.argmin(ok))
             raise InvariantError(
-                f"sieve member {num[i]}/{den[i]} has no expansion "
+                f"member {num[i]}/{den[i]} has no expansion "
                 f"in digits {ds.digits}"
             )
         digits = flat.tolist()
@@ -369,13 +367,12 @@ def member(ds: DigitSet, x: Fraction) -> bool:
 
 def enumerate_members(
     ds: DigitSet, denominators: Iterable[int]
-) -> Iterator[tuple[Fraction, ExpansionInfo]]:
-    """All reduced members a/d over the given distinct denominators.
+) -> Iterator[tuple[int, int, list, list]]:
+    """(num, den, preperiod, period) of every reduced member num/den over the
+    given distinct denominators, value-ascending, as _witness_rows yields it.
 
-    Yields (fraction, certifying expansion) pairs, denominators in the given
-    order, numerators ascending. Denominator 1 contributes the endpoints.
-    Each d descends the good-digit tree, whose leaves the sieve's walk
-    settles (module docstring); the witness is computed for members only.
+    Denominator 1 contributes the endpoints.  Each d descends the good-digit
+    tree, whose leaves the sieve's walk settles (module docstring).
     """
     import numpy as np
 
@@ -386,6 +383,7 @@ def enumerate_members(
     if len(set(dens)) != len(dens):
         raise PreconditionError("duplicate denominator")
     zero = np.zeros(1, dtype=np.int64)
+    rows = []
     for d in dens:
         cd = np.array(ds.digits, dtype=np.int64)[:, None] * d
         found = [zero[:0]]
@@ -405,14 +403,10 @@ def enumerate_members(
                 a = q + (e > 0)
                 r = (a - q) * S - e
                 found.append(a[_walk(ds.base, ds.digits, r, np.full_like(a, d))])
-        for a in sorted(set(np.concatenate(found).tolist())):  # edges come twice
-            if gcd(a, d) > 1:
-                continue
-            x = Fraction(a, d)
-            w = member_witness(ds, x)
-            if w is None:
-                raise InvariantError(f"walk member {a}/{d} has no expansion in {ds}")
-            yield x, w
+        # a value on two nodes' edge comes twice
+        rows += [(a, d) for a in set(np.concatenate(found).tolist()) if gcd(a, d) == 1]
+    rows = _by_value(rows)  # and the list of pairs goes before the walk
+    yield from _witness_rows(ds, rows)
 
 
 def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:
@@ -444,7 +438,7 @@ class SIntegerCertificate:
     bound: Fraction
     max_denominator: int
     denominator_count: int
-    members: tuple[tuple[Fraction, ExpansionInfo], ...]
+    members: tuple[tuple[int, int, list, list], ...]  # enumerate_members' records
     witness: Fraction
     witness_distance: Fraction
     walked_denominators: tuple[int, ...]
@@ -461,7 +455,7 @@ class SIntegerCertificate:
 
     @property
     def count_without_endpoints(self) -> int:
-        return sum(1 for x, _ in self.members if 0 < x < 1)
+        return sum(1 for num, den, _, _ in self.members if 0 < num < den)
 
     def to_json_dict(self) -> dict:
         ds = self.digit_set
@@ -481,13 +475,8 @@ class SIntegerCertificate:
             "count_with_endpoints": self.count_with_endpoints,
             "count_without_endpoints": self.count_without_endpoints,
             "members": [
-                {
-                    "num": x.numerator,
-                    "den": x.denominator,
-                    "preperiod": list(w.preperiod),
-                    "period": list(w.period),
-                }
-                for x, w in self.members
+                {"num": num, "den": den, "preperiod": pre, "period": period}
+                for num, den, pre, period in self.members
             ],
             "exclusion": (
                 "a member's whole orbit stays inside the set, but any "
@@ -541,7 +530,7 @@ def enumerate_s_integers(
     walked = [
         d for d in smooth if d // gcd(d, cap) * gap.numerator <= gap.denominator
     ]
-    members = sorted(enumerate_members(ds, walked), key=lambda pair: pair[0])
+    members = enumerate_members(ds, walked)
     return SIntegerCertificate(
         digit_set=ds,
         profile=profile,
@@ -572,21 +561,24 @@ def _count_coprime_upto(limit: np.ndarray, base: int) -> np.ndarray:
     return total
 
 
-def _by_value(rows: np.ndarray) -> np.ndarray:
-    """(num, den) int64 rows of distinct fractions in [0, 1], sorted by value.
+def _by_value(rows) -> np.ndarray:
+    """(num, den) int rows of distinct fractions in [0, 1] with den <= 2^62,
+    an array or a list of pairs, as int64 rows sorted by value.
 
-    The sieve's guard T^2 < 2^62 keeps num <= den < 2^31, so both convert to
-    float exactly and the correctly rounded key num/den never decreases as
-    the value grows: only runs of equal keys can be out of order, and each is
-    re-sorted by cross-multiplying.
+    The float key num/den rounds num, den and their quotient, so it is off
+    by at most about 3*2^-53 of the value, and the keys never reorder two
+    values more than 2^-50 of the larger apart.  Adjacent sorted keys that
+    close form runs, and each run is re-sorted by cross-multiplying.
     """
     import numpy as np
 
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
     num, den = rows[:, 0], rows[:, 1]
     key = num / den
     order = np.argsort(key, kind="stable")
     key = key[order]
-    tied = np.concatenate(([False], key[1:] == key[:-1], [False]))
+    near = key[1:] - key[:-1] <= key[1:] * 2.0**-50
+    tied = np.concatenate(([False], near, [False]))
     edges = np.flatnonzero(tied[1:] != tied[:-1])
     for start, stop in zip(edges[::2], edges[1::2] + 1):
         run = [(int(num[i]), int(den[i]), i) for i in order[start:stop]]

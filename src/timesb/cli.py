@@ -191,9 +191,7 @@ def cmd_member(args) -> int:
             "digits": list(ds.digits),
             "fraction": frac_str(args.frac),
             "member": w is not None,
-            "witness": None
-            if w is None
-            else {"preperiod": list(w.preperiod), "period": list(w.period)},
+            "witness": None if w is None else w.to_json_dict(),
         }
     )
     return 0
@@ -205,11 +203,7 @@ def cmd_expand(args) -> int:
     out = info.to_json_dict()
     out["base"] = args.base
     out["fraction"] = frac_str(args.frac)
-    out["dual"] = (
-        None
-        if dual is None
-        else {"preperiod": list(dual.preperiod), "period": list(dual.period)}
-    )
+    out["dual"] = None if dual is None else dual.to_json_dict()
     _emit(out)
     return 0
 
@@ -239,22 +233,18 @@ def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
             _progress(f"enumerating members with denominators up to {args.max_den}")
         rows = sieve.members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
         rows = cantor._by_value(rows)
-        return [_json_line(*w) for w in cantor._witness_rows(ds, rows)]
-    if args.den_form:
+        members = cantor._witness_rows(ds, rows)
+    elif args.den_form:
         head, sep, tail = args.den_form.partition("^")
         if sep != "^" or tail != "k" or not head.isdigit() or int(head) < 2:
             raise PreconditionError(f"bad --den-form {args.den_form!r}, want e.g. 2^k")
         if args.max_exp is None:
             raise PreconditionError("--den-form needs --max-exp")
-        base = int(head)
-        dens = [base**k for k in range(args.max_exp + 1)]
+        dens = [int(head) ** k for k in range(args.max_exp + 1)]
+        members = cantor.enumerate_members(ds, dens)
     else:
-        dens = args.denominators
-    pairs = sorted(cantor.enumerate_members(ds, dens), key=lambda pair: pair[0])
-    return [
-        _json_line(x.numerator, x.denominator, w.preperiod, w.period)
-        for x, w in pairs
-    ]
+        members = cantor.enumerate_members(ds, args.denominators)
+    return [_json_line(*m) for m in members]
 
 
 def cmd_enumerate(args) -> int:
@@ -373,15 +363,16 @@ def _verify_reconstruction(rng: random.Random, trials: int) -> None:
             raise InvariantError(f"expansion of {x} in base {b} does not reconstruct")
 
 
-def _scan_members(ds: cantor.DigitSet, dens) -> list[Fraction]:
-    """Every reduced member a/d over dens, ascending, one scalar membership
-    test each: the route that does not use the vectorized walk."""
-    return sorted(
-        Fraction(a, d)
+def _scan_members(ds: cantor.DigitSet, dens) -> list[tuple[int, int]]:
+    """Every reduced member (a, d) over dens, d in the given order and a
+    ascending, one scalar membership test each: the route that does not use
+    the vectorized walk."""
+    return [
+        (a, d)
         for d in dens
         for a in range(d + 1)
         if gcd(a, d) == 1 and cantor._witness_digits(ds, a, d) is not None
-    )
+    ]
 
 
 def _verify_cosets(rng: random.Random, trials: int) -> None:
@@ -391,7 +382,7 @@ def _verify_cosets(rng: random.Random, trials: int) -> None:
         digits = tuple(sorted(rng.sample(range(b), size)))
         ds = cantor.DigitSet(b, digits)
         d = rng.randrange(2, 400)
-        got = [x for x, _ in cantor.enumerate_members(ds, [d])]
+        got = [(a, n) for a, n, _, _ in cantor.enumerate_members(ds, [d])]
         if got != _scan_members(ds, [d]):
             raise InvariantError(f"coset enumeration mismatch at base {b} d {d}")
 
@@ -416,8 +407,8 @@ def _verify_lattice_exclusion(rng: random.Random, trials: int) -> None:
         S, cert = _seeded_certificate(rng)
         ds = cert.digit_set
         dens = cantor.smooth_denominators(S, min(cert.max_denominator, cap))
-        want = sorted(cantor.enumerate_members(ds, dens), key=lambda pair: pair[0])
-        got = [pair for pair in cert.members if pair[0].denominator <= cap]
+        want = list(cantor.enumerate_members(ds, dens))
+        got = [m for m in cert.members if m[1] <= cap]
         if got != want:
             raise InvariantError(
                 f"lattice exclusion lost members: base {ds.base} "
@@ -439,9 +430,7 @@ def _verify_sieve_certificate(rng: random.Random, trials: int) -> None:
             for n, d in sieve.members_up_to(ds.base, ds.digits, T).tolist()
             if d in smooth
         ]
-        certified = sorted(
-            (x.denominator, x.numerator) for x, _ in cert.members if x.denominator <= T
-        )
+        certified = sorted((d, n) for n, d, _, _ in cert.members if d <= T)
         if sieved != [(n, d) for d, n in certified]:
             raise InvariantError(
                 f"sieve differs from the certificate: base {ds.base} "
@@ -458,7 +447,7 @@ def _verify_sieve(rng: random.Random, trials: int) -> None:
         ds = cantor.DigitSet(b, digits)
         T = rng.randrange(1, 301)
         got = cantor.reduced_members_up_to(ds, T)
-        if got != _scan_members(ds, range(1, T + 1)):
+        if got != sorted(Fraction(*m) for m in _scan_members(ds, range(1, T + 1))):
             raise InvariantError(
                 f"sieve differs from the scalar scan: base {b} digits {digits} T {T}"
             )

@@ -83,12 +83,12 @@ that never leaves the path within L digits lies in the middle leaf, whose
 interval is centred on 1/2, so it is 1/2 itself. The sieve therefore walks
 only the low children's subtrees of each path node, and whole the path node
 one level above the leaves if the path gets there, and adds the row
-(d-a, d) of every member (a, d) it finds. A non-symmetric set is the same walk with every digit low, no path
-below the root and no mirror. A row can come out twice: 1/2 is its own
-mirror, a value on the edge of two leaves is found in both, and the high
-leaves of the last path node find the mirrors of its low ones. Every copy
-is the same reduced (num, den), so the final sort and neighbour compare
-keep one.
+(d-a, d) of every member (a, d) it finds. A non-symmetric set is the same
+walk with every digit low, no path below the root and no mirror. A row can
+come out twice: 1/2 is its own mirror, a value on the edge of two leaves is
+found in both, and the high leaves of the last path node find the mirrors
+of its low ones. Every copy is the same reduced (num, den), so the final
+sort and neighbour compare keep one.
 
 The tree is walked depth first over blocks of columns under a fixed budget.
 A task starts from a stack of (depth, state) blocks pushed in rising depth

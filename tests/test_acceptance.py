@@ -68,7 +68,7 @@ def test_criterion_1_dyadic_members():
     """
     t0 = time.monotonic()
     ds = DigitSet(3, (0, 2))
-    found = {x for x, _ in enumerate_members(ds, [2**k for k in range(21)])}
+    found = {Fraction(a, d) for a, d, _, _ in enumerate_members(ds, [2**k for k in range(21)])}
     interior = {x for x in found if 0 < x < 1}
     assert interior == {Fraction(1, 4), Fraction(3, 4)}
     assert found == {Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 4)}

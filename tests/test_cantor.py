@@ -218,25 +218,30 @@ def test_witness_certifies(a, d):
         assert w.all_digits() <= {0, 2}
 
 
+def _expansion(base, pre, period):
+    return ExpansionInfo(base=base, preperiod=tuple(pre), period=tuple(period))
+
+
 def test_enumerate_members_dyadic():
     dens = [2**k for k in range(1, 21)]
-    found = [x for x, _ in enumerate_members(C_MIDDLE, dens)]
+    found = [F(a, d) for a, d, _, _ in enumerate_members(C_MIDDLE, dens)]
     assert found == [F(1, 4), F(3, 4)]
 
 
 def test_enumerate_members_small_dens():
-    found = dict(enumerate_members(C_MIDDLE, [1, 3, 9]))
-    assert sorted(found) == [
+    found = list(enumerate_members(C_MIDDLE, [1, 3, 9]))
+    assert [F(a, d) for a, d, _, _ in found] == [
         F(0), F(1, 9), F(2, 9), F(1, 3), F(2, 3), F(7, 9), F(8, 9), F(1),
     ]
     # each reported expansion certifies its fraction
-    for x, w in found.items():
-        assert w.value() == x and w.all_digits() <= {0, 2}
+    for a, d, pre, period in found:
+        w = _expansion(3, pre, period)
+        assert w.value() == F(a, d) and w.all_digits() <= {0, 2}
 
 
 def test_enumerate_members_matches_naive_scan():
     dens = list(range(1, 61))
-    fast = {x for x, _ in enumerate_members(C_MIDDLE, dens)}
+    fast = {F(a, d) for a, d, _, _ in enumerate_members(C_MIDDLE, dens)}
     naive = set()
     for d in dens:
         for a in range(0, d + 1):
@@ -246,14 +251,17 @@ def test_enumerate_members_matches_naive_scan():
 
 
 def _walk_and_oracle(ds, dens):
-    got = [(x, w.preperiod, w.period) for x, w in enumerate_members(ds, dens)]
+    got = [
+        (F(a, d), tuple(pre), tuple(period))
+        for a, d, pre, period in enumerate_members(ds, dens)
+    ]
     want = []
     for d in dens:
         for a in range(d + 1):
             w = witness_oracle(ds.base, ds.digits, F(a, d)) if math.gcd(a, d) == 1 else None
             if w is not None:
                 want.append((F(a, d), *w))
-    return got, want
+    return got, sorted(want)
 
 
 @pytest.mark.parametrize("base", range(2, 11))
@@ -285,7 +293,7 @@ def test_enumerate_members_many_units_match_oracle():
 
 
 def _unit_walk(ds, dens):
-    """Every reduced member a/d over dens, in order: each unit a of d settled
+    """Every reduced member a/d over dens, ascending: each unit a of d settled
     by the sieve's walk from r = a, with no digit tree."""
     out = []
     for d in dens:
@@ -293,7 +301,7 @@ def _unit_walk(ds, dens):
         a = a[np.gcd(a, d) == 1]
         hit = sieve._walk(ds.base, ds.digits, a, np.full_like(a, d))
         out += [F(int(n), d) for n in a[hit]]
-    return out
+    return sorted(out)
 
 
 def _seeded_digit_set(base):
@@ -308,7 +316,8 @@ def test_enumerate_members_descent_matches_unit_walk(base):
     # every d <= 2000: d = 1, powers and multiples of b, d coprime to b
     ds = _seeded_digit_set(base)
     dens = range(1, 2001)
-    assert [x for x, _ in enumerate_members(ds, dens)] == _unit_walk(ds, dens)
+    got = [F(a, d) for a, d, _, _ in enumerate_members(ds, dens)]
+    assert got == _unit_walk(ds, dens)
 
 
 @pytest.mark.parametrize("budget", [1, 16])
@@ -320,7 +329,7 @@ def test_enumerate_members_descent_in_halves(monkeypatch, budget):
     for base in range(2, 13):
         ds = _seeded_digit_set(base)
         dens = [1, base, base**3] + rng.sample(range(2, 2001), 30)
-        got = [x for x, _ in enumerate_members(ds, dens)]
+        got = [F(a, d) for a, d, _, _ in enumerate_members(ds, dens)]
         assert got == _unit_walk(ds, dens), base
 
 
@@ -332,8 +341,8 @@ def test_enumerate_members_edge_of_two_nodes(digits, want):
     # 1/4 = 0.1 = 0.0333... in base 4 lies on the edge of the nodes 10 and
     # 03: {0,1,3} keeps it through both, {0,1} and {0,3} through one each
     got = list(enumerate_members(DigitSet(4, digits), [4]))
-    assert [x for x, _ in got] == want
-    assert all(w.value() == x for x, w in got)
+    assert [F(a, d) for a, d, _, _ in got] == want
+    assert all(_expansion(4, pre, period).value() == F(a, d) for a, d, pre, period in got)
 
 
 def test_enumerate_members_rejects_duplicates():
@@ -380,7 +389,7 @@ def test_s_integer_certificate_wall():
     assert cert.epsilon == F(1, 6)
     assert cert.bound == 240
     assert cert.max_denominator == 240
-    assert [x for x, _ in cert.members] == WALL_MEMBERS
+    assert [F(a, d) for a, d, _, _ in cert.members] == WALL_MEMBERS
     assert cert.count_with_endpoints == 16
     assert cert.count_without_endpoints == 14
     assert cert.witness == F(1, 2) and cert.witness_distance == F(1, 6)
@@ -408,7 +417,7 @@ def test_certificate_complete_when_end_segment_dominates():
     assert cert.epsilon == F(4, 9)
     assert cert.bound == F(81, 8)
     assert cert.witness == F(5, 9) and cert.witness_distance == F(4, 9)
-    got = sorted(x for x, _ in cert.members)
+    got = sorted(F(a, d) for a, d, _, _ in cert.members)
     brute = sorted(
         F(a, d)
         for d in smooth_denominators((3,), 3**6)
@@ -427,7 +436,7 @@ def test_certificate_claimed_epsilon_keeps_sound_bound():
     cert = enumerate_s_integers(ds, prof, epsilon=F(8, 9))
     assert cert.epsilon == F(8, 9)
     assert cert.bound == F(81, 8)
-    assert any(x == F(1, 9) for x, _ in cert.members)
+    assert any((a, d) == (1, 9) for a, d, _, _ in cert.members)
 
 
 def test_lattice_exclusion_matches_full_walk():
@@ -442,12 +451,12 @@ def test_lattice_exclusion_matches_full_walk():
         S = sorted(rng.sample(usable, rng.randrange(1, min(3, len(usable)) + 1)))
         cert = enumerate_s_integers(ds, build_profile(b, S))
         dens = smooth_denominators(S, cert.max_denominator)
-        full = sorted(enumerate_members(ds, dens), key=lambda pair: pair[0])
+        full = list(enumerate_members(ds, dens))
         assert list(cert.members) == full, (b, ds.digits, S)
         assert cert.denominator_count == len(dens)
         excluded = set(dens) - set(cert.walked_denominators)
         assert len(excluded) == cert.denominators_excluded
-        assert not any(x.denominator in excluded for x, _ in full)
+        assert not any(d in excluded for _, d, _, _ in full)
 
 
 @pytest.mark.parametrize(
@@ -497,9 +506,9 @@ def test_s_integer_certificate_single_prime():
     prof = build_profile(3, [7])
     cert = enumerate_s_integers(C_MIDDLE, prof)
     assert cert.bound == 3 * 7 ** prof.stats(7).cap_exp
-    for x, w in cert.members:
-        assert member(C_MIDDLE, x)
-        assert w.value() == x
+    for a, d, pre, period in cert.members:
+        assert member(C_MIDDLE, F(a, d))
+        assert _expansion(3, pre, period).value() == F(a, d)
 
 
 def test_triadic_counts_small():

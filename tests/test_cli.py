@@ -592,6 +592,83 @@ def test_enumerate_max_den_bytes_match_scalar_witnesses(capsys, base):
     assert out == _scalar_enumerate_stdout(ds, T)
 
 
+def _scalar_records(ds, dens):
+    # every reduced a/d over dens tested by its own scalar walk, the members
+    # sorted through Fraction
+    found = []
+    for d in dens:
+        for a in range(d + 1):
+            w = cantor._witness_digits(ds, a, d) if gcd(a, d) == 1 else None
+            if w is not None:
+                found.append((Fraction(a, d), w))
+    found.sort(key=lambda pair: pair[0])
+    return [
+        {"num": x.numerator, "den": x.denominator, "preperiod": w[0], "period": w[1]}
+        for x, w in found
+    ]
+
+
+def _dumps(rec):
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _seeded_member_case(base):
+    # a digit set that is not full, a few denominators, a power form with
+    # q^max_exp <= 3000, and S of one or two primes not dividing the base
+    rng = random.Random(0xCE27 + base)
+    ds = DigitSet(base, tuple(rng.sample(range(base), rng.randrange(1, base))))
+    dens = rng.sample(range(1, 400), 12) + [base, base**2]
+    q = rng.randrange(2, 8)
+    max_exp = int(np.log(3000) / np.log(q))
+    usable = [p for p in (2, 3, 5, 7, 11, 13) if base % p]
+    S = sorted(rng.sample(usable, rng.randrange(1, min(2, len(usable)) + 1)))
+    return ds, sorted(set(dens)), q, max_exp, S
+
+
+@pytest.mark.parametrize("base", range(2, 31))
+def test_member_records_bytes_match_scalar_route(capsys, base):
+    # enumerate --denominators, --den-form and certify print the same bytes
+    # as a scalar witness per member, a Fraction sort and json.dumps
+    ds, dens, q, max_exp, S = _seeded_member_case(base)
+    digits = ("--base", str(base), "--digits", ",".join(map(str, ds.digits)))
+    code, out, _ = run_cli(
+        capsys, "enumerate", *digits, "--denominators", ",".join(map(str, dens[::-1]))
+    )
+    assert code == 0
+    assert out == "".join(map(_dumps, _scalar_records(ds, dens)))
+    code, out, _ = run_cli(
+        capsys, "enumerate", *digits, "--den-form", f"{q}^k", "--max-exp", str(max_exp)
+    )
+    assert code == 0
+    want = _scalar_records(ds, [q**k for k in range(max_exp + 1)])
+    assert out == "".join(map(_dumps, want))
+    code, out, _ = run_cli(capsys, "certify", *digits, "--primes", ",".join(map(str, S)))
+    assert code == 0
+    cert = cantor.enumerate_s_integers(ds, build_profile(base, S))
+    want = cert.to_json_dict()
+    want["members"] = _scalar_records(ds, cert.walked_denominators)
+    want["count_with_endpoints"] = len(want["members"])
+    want["count_without_endpoints"] = sum(
+        0 < m["num"] < m["den"] for m in want["members"]
+    )
+    assert out == _dumps(want)
+
+
+def test_member_records_take_no_scalar_walk(capsys, monkeypatch):
+    # certify and enumerate --denominators read every witness off the
+    # vectorised walk
+    def scalar_walk(*args):
+        raise AssertionError("scalar witness walk")
+
+    monkeypatch.setattr(cantor, "_witness_digits", scalar_walk)
+    rec = run_json(capsys, "certify", "--base", "3", "--digits", "0,2", "--primes", "2,5")
+    assert rec["count_without_endpoints"] == 14
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--base", "3", "--digits", "0,2", "--denominators", "4,10,1"
+    )
+    assert code == 0 and out.count("\n") == 8
+
+
 def test_enumerate_max_den_progress_on_stderr(capsys, monkeypatch):
     # T >= 1e5 prints one progress line on stderr and leaves stdout alone;
     # the sieve is cut to T = 300 so that the test stays small

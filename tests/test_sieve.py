@@ -194,7 +194,7 @@ def test_known_counts_middle_thirds():
 def test_sieve_matches_coset_enumeration():
     ds = DigitSet(3, (0, 2))
     got = set(reduced_members_up_to(ds, 400))
-    via_cosets = {x for x, _ in enumerate_members(ds, range(1, 401))}
+    via_cosets = {Fraction(a, d) for a, d, _, _ in enumerate_members(ds, range(1, 401))}
     assert got == via_cosets
 
 
@@ -209,7 +209,7 @@ def test_sieve_matches_certificate(base, digits, primes):
     cert = enumerate_s_integers(DigitSet(base, digits), build_profile(base, primes))
     smooth = set(smooth_denominators(primes, T))
     sieved = [(n, d) for n, d in members_up_to(base, digits, T).tolist() if d in smooth]
-    certified = [(x.numerator, x.denominator) for x, _ in cert.members]
+    certified = [(a, d) for a, d, _, _ in cert.members]
     by_den = sorted((r for r in certified if r[1] <= T), key=lambda r: (r[1], r[0]))
     assert sieved == by_den and len(sieved) > 10
 
@@ -556,3 +556,25 @@ def test_by_value_repairs_float_ties():
     got = [Fraction(int(n), int(d)) for n, d in _by_value(rows)]
     assert got == sorted(fracs)
     assert _by_value(rows[:0]).shape == (0, 2)
+
+
+def test_by_value_exact_above_float_precision():
+    # den in (2^60, 2^61), beyond the 2^53 that float64 holds exactly: the
+    # members a/d next to 1/3 differ by about 2^-61, while num, den and
+    # num/den each round by up to 2^-53 of themselves, so the keys misorder
+    # distinct values without making them equal
+    rng = random.Random(61)
+    pairs = set()
+    while len(pairs) < 300:
+        d = rng.randrange(2**60, 2**61)
+        for a in (d // 3 - 1, d // 3, d // 3 + 1):
+            if gcd(a, d) == 1:
+                pairs.add((a, d))
+    pairs = list(pairs)
+    rng.shuffle(pairs)
+    rows = np.array(pairs, dtype=np.int64)
+    got = [Fraction(a, d) for a, d in _by_value(rows).tolist()]
+    assert got == sorted(Fraction(a, d) for a, d in pairs)
+    # a list of pairs is read as the same rows
+    assert _by_value(pairs).tolist() == _by_value(rows).tolist()
+    assert _by_value([]).shape == (0, 2)
