@@ -27,22 +27,24 @@ none is dropped.  Digit c adds the quotient of b*e + c*d by b*S onto q and
 leaves the remainder as e, below (2b-1)*d < 2^63.  Once S > d a node holds at
 most one a, and the sieve's walk settles its tail r/d past P, r = a*S - P*d =
 S*[e > 0] - e (r = 0 is the tail 0^inf, r = d is (b-1)^inf).  A value on two
-nodes' edge is kept once; a level wider than _BUDGET is descended in halves.
+nodes' edge is found twice, and the sieve's value sort keeps one; a level
+wider than _BUDGET is descended in halves.
 
 A member's witness is its eventually periodic expansion.  For a/d reduced
 the preperiod mu is fixed by the part of d shared with b, and the period is
 the cycle of r -> b*r mod d.  _witness_rows walks chunks of (num, den) int
-rows in lock-step and yields the one member record (num, den, preperiod,
-period) that enumerate, certify and enumerate_members print; _witness_digits
-walks one fraction in plain integers (member and the tests' oracles) and
-gives the same digits.
+rows in lock-step into one flat digit array, where the value 1 and the dual
+of a terminating value are written like any other witness, and yields the
+one member record (num, den, preperiod, period) that enumerate, certify and
+enumerate_members print; _witness_digits walks one fraction in plain
+integers (member and the tests' oracles) and gives the same digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -51,7 +53,7 @@ from .numtheory import factorize
 from .orbit import _remainder_walk, density_bound
 from .orders import OrderProfile
 from .rational import frac_str
-from .sieve import _BUDGET, _walk, members_up_to
+from .sieve import _BUDGET, _by_value, _walk, members_up_to
 
 if TYPE_CHECKING:
     import numpy as np
@@ -280,8 +282,11 @@ def _witness_rows(
     1.  All rows walk r -> b*r mod den in lock-step from r = num, and a row
     ends when r comes back to r_mu after at least mu + 1 steps (num, in the
     preperiod when mu >= 1, never comes back): a terminating row ends on
-    period (0).  A row whose digits are not all good takes the dual of a
-    terminating value; a row with neither raises InvariantError.  Every
+    period (0).  The digits go to one flat array, each row's preperiod then
+    period, and the value 1, walked by no row, gets one period slot of b-1.
+    A row whose digits are not all good takes the dual of a terminating
+    value over its own slots (last preperiod digit lowered by one, b-1 in
+    the period slot); a row with neither raises InvariantError.  Every
     caller keeps den <= 2^62/b, so b*r < b*den <= 2^62 stays inside int64.
     """
     import numpy as np
@@ -298,8 +303,8 @@ def _witness_rows(
             mu += g > 1
             d = d // g
             g = np.gcd(d, b)
-        one = num == den  # the value 1 is ([], [b-1]), walked by no row
-        length = np.zeros_like(den)
+        one = num == den  # the value 1, walked by no row, gets one slot
+        length = one.astype(np.int64)
         rounds = []
         row = np.flatnonzero(~one)
         r, q, back, m = num[row], den[row], num[row], mu[row]
@@ -314,12 +319,13 @@ def _witness_rows(
             row, r, q, back, m = row[live], r[live], q[live], back[live], m[live]
         off = np.zeros(den.size + 1, dtype=np.int64)
         np.cumsum(length, out=off[1:])
+        head, cut = off[:-1], off[:-1] + mu
         flat = np.zeros(off[-1] + 1, dtype=np.int64)  # a spare slot at -1
         for i, (row, c) in enumerate(rounds):
             flat[off[row] + i] = c
+        flat[head[one]] = b - 1
         bad = np.zeros(flat.size + 1, dtype=np.int64)
         np.cumsum(~good[flat], out=bad[1:])
-        head, cut = off[:-1], off[:-1] + mu
         greedy = bad[off[1:]] == bad[head]
         # the dual of 0.c1..ck(0) is 0.c1..(ck - 1)(b-1)(b-1)..; ck >= 1 on a
         # reduced row, and tip = -1 only where mu = 0, which has no dual
@@ -328,26 +334,19 @@ def _witness_rows(
             ~greedy & (d == 1) & (mu >= 1) & good[b - 1]
             & good[flat[tip] - 1] & (bad[tip] == bad[head])
         )
-        ok = np.where(one, good[b - 1], greedy | dual)
+        ok = greedy | dual
         if not ok.all():
             i = int(np.argmin(ok))
             raise InvariantError(
                 f"member {num[i]}/{den[i]} has no expansion "
                 f"in digits {ds.digits}"
             )
+        flat[tip[dual]] -= 1
+        flat[cut[dual]] = b - 1
         digits = flat.tolist()
-        for a, n, o, e, k, w in zip(
-            num.tolist(), den.tolist(), head.tolist(), off[1:].tolist(),
-            cut.tolist(), dual.tolist(),
-        ):
-            if a == n:
-                yield a, n, [], [b - 1]
-            elif w:
-                pre = digits[o:k]
-                pre[-1] -= 1
-                yield a, n, pre, [b - 1]
-            else:
-                yield a, n, digits[o:k], digits[k:e]
+        cols = (num, den, head, cut, off[1:])
+        for a, n, o, k, e in zip(*(col.tolist() for col in cols)):
+            yield a, n, digits[o:k], digits[k:e]
 
 
 def member_witness(ds: DigitSet, x: Fraction) -> ExpansionInfo | None:
@@ -383,10 +382,9 @@ def enumerate_members(
     if len(set(dens)) != len(dens):
         raise PreconditionError("duplicate denominator")
     zero = np.zeros(1, dtype=np.int64)
-    rows = []
+    rows = [np.empty((0, 2), dtype=np.int64)]
     for d in dens:
         cd = np.array(ds.digits, dtype=np.int64)[:, None] * d
-        found = [zero[:0]]
         stack = [(1, zero, zero)]  # (S, q, e) of nodes with P*d = q*S + e
         while stack:
             S, q, e = stack.pop()
@@ -402,11 +400,11 @@ def enumerate_members(
             else:  # S > d: one numerator each, and r/d is its tail past P
                 a = q + (e > 0)
                 r = (a - q) * S - e
-                found.append(a[_walk(ds.base, ds.digits, r, np.full_like(a, d))])
-        # a value on two nodes' edge comes twice
-        rows += [(a, d) for a in set(np.concatenate(found).tolist()) if gcd(a, d) == 1]
-    rows = _by_value(rows)  # and the list of pairs goes before the walk
-    yield from _witness_rows(ds, rows)
+                a = a[_walk(ds.base, ds.digits, r, np.full_like(a, d))]
+                a = a[np.gcd(a, d) == 1]
+                rows.append(np.stack([a, np.full_like(a, d)], axis=1))
+    # a value on two nodes' edge comes twice, and _by_value keeps one
+    yield from _witness_rows(ds, _by_value(np.concatenate(rows)))
 
 
 def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:
@@ -561,32 +559,6 @@ def _count_coprime_upto(limit: np.ndarray, base: int) -> np.ndarray:
     return total
 
 
-def _by_value(rows) -> np.ndarray:
-    """(num, den) int rows of distinct fractions in [0, 1] with den <= 2^62,
-    an array or a list of pairs, as int64 rows sorted by value.
-
-    The float key num/den rounds num, den and their quotient, so it is off
-    by at most about 3*2^-53 of the value, and the keys never reorder two
-    values more than 2^-50 of the larger apart.  Adjacent sorted keys that
-    close form runs, and each run is re-sorted by cross-multiplying.
-    """
-    import numpy as np
-
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-    num, den = rows[:, 0], rows[:, 1]
-    key = num / den
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    near = key[1:] - key[:-1] <= key[1:] * 2.0**-50
-    tied = np.concatenate(([False], near, [False]))
-    edges = np.flatnonzero(tied[1:] != tied[:-1])
-    for start, stop in zip(edges[::2], edges[1::2] + 1):
-        run = [(int(num[i]), int(den[i]), i) for i in order[start:stop]]
-        run.sort(key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
-        order[start:stop] = [i for _, _, i in run]
-    return rows[order]
-
-
 def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]:
     """All members with reduced denominator <= T, ascending.
 
@@ -594,8 +566,8 @@ def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]
     full digit set is rejected there (everything is a member, enumerating
     ~0.3*T^2 fractions is pointless).
     """
-    rows = _by_value(members_up_to(ds.base, ds.digits, T, jobs))
-    return [Fraction(n, d) for n, d in rows.tolist()]
+    rows = members_up_to(ds.base, ds.digits, T, jobs).tolist()
+    return [Fraction(n, d) for n, d in rows]
 
 
 @dataclass(frozen=True)

@@ -221,27 +221,29 @@ def _json_line(num: int, den: int, pre, period) -> str:
 
 def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
     """The JSON line of every member, value-ascending."""
-    sources = sum(
-        1 for flag in (args.den_form, args.max_den, args.denominators) if flag
-    )
-    if sources != 1:
+    sources = (args.den_form, args.max_den, args.denominators)
+    if sum(source is not None for source in sources) != 1:
         raise PreconditionError(
             "enumerate needs exactly one of --den-form, --max-den, --denominators"
         )
-    if args.max_den:
+    if (args.max_exp is None) != (args.den_form is None):
+        raise PreconditionError("--den-form and --max-exp go together")
+    if args.max_den is not None:
         if args.max_den >= 10**5:
             _progress(f"enumerating members with denominators up to {args.max_den}")
         rows = sieve.members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
-        rows = cantor._by_value(rows)
         members = cantor._witness_rows(ds, rows)
-    elif args.den_form:
+    elif args.den_form is not None:
         head, sep, tail = args.den_form.partition("^")
         if sep != "^" or tail != "k" or not head.isdigit() or int(head) < 2:
             raise PreconditionError(f"bad --den-form {args.den_form!r}, want e.g. 2^k")
-        if args.max_exp is None:
-            raise PreconditionError("--den-form needs --max-exp")
-        dens = [int(head) ** k for k in range(args.max_exp + 1)]
+        if args.max_exp < 0:
+            raise PreconditionError(f"--max-exp must be >= 0, got {args.max_exp}")
+        # head^62 >= 2^62 exceeds enumerate_members' 2^62/b: a larger k adds nothing
+        dens = [int(head) ** k for k in range(min(args.max_exp, 62) + 1)]
         members = cantor.enumerate_members(ds, dens)
+    elif not args.denominators:
+        raise PreconditionError("--denominators lists no denominator")
     else:
         members = cantor.enumerate_members(ds, args.denominators)
     return [_json_line(*m) for m in members]
@@ -285,7 +287,6 @@ def cmd_bounds(args) -> int:
     if args.max_den >= 10**5:
         _progress(f"enumerating members up to {args.max_den} for bound reports")
     rows = sieve.members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
-    rows = cantor._by_value(rows)
     reports = bounds.member_bound_reports(ds.base, eps, rows)
     summary = bounds.aggregate_constants(reports) if reports else {"count": 0}
     summary.update(
@@ -430,8 +431,7 @@ def _verify_sieve_certificate(rng: random.Random, trials: int) -> None:
             for n, d in sieve.members_up_to(ds.base, ds.digits, T).tolist()
             if d in smooth
         ]
-        certified = sorted((d, n) for n, d, _, _ in cert.members if d <= T)
-        if sieved != [(n, d) for d, n in certified]:
+        if sieved != [(n, d) for n, d, _, _ in cert.members if d <= T]:
             raise InvariantError(
                 f"sieve differs from the certificate: base {ds.base} "
                 f"digits {ds.digits} primes {S} T {T}"
@@ -491,6 +491,8 @@ _VERIFY_CHECKS = (
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise PreconditionError(f"--trials must be >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     for name, check in _VERIFY_CHECKS:
         trials = args.trials

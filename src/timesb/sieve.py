@@ -87,8 +87,8 @@ one level above the leaves if the path gets there, and adds the row
 walk with every digit low, no path below the root and no mirror. A row can
 come out twice: 1/2 is its own mirror, a value on the edge of two leaves is
 found in both, and the high leaves of the last path node find the mirrors
-of its low ones. Every copy is the same reduced (num, den), so the final
-sort and neighbour compare keep one.
+of its low ones. Every copy is the same reduced (num, den), and the final
+value sort (_by_value) keeps one.
 
 The tree is walked depth first over blocks of columns under a fixed budget.
 A task starts from a stack of (depth, state) blocks pushed in rising depth
@@ -116,7 +116,7 @@ so the commands that never reach the sieve or the walk start without them.
 from __future__ import annotations
 
 import os
-from functools import partial
+from functools import cmp_to_key, partial
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvariantError, PreconditionError
@@ -318,7 +318,7 @@ def _descend_task(
 def members_up_to(
     base: int, digits: Sequence[int], T: int, jobs: int = 1
 ) -> np.ndarray:
-    """All reduced members (num, den) with den <= T, sorted by (den, num).
+    """All reduced members (num, den) with den <= T, each once, by value.
 
     Output is identical for every jobs value.
     """
@@ -378,14 +378,37 @@ def members_up_to(
     if mirror:
         num, den = members.T
         members = np.concatenate([members, np.stack([den - num, den], axis=1)])
-    if members.size == 0:
-        return members.reshape(0, 2)
-    packed = members[:, 1] * np.int64(T + 1) + members[:, 0]
-    # sorted in place and deduplicated by a neighbour compare: np.unique
-    # would import numpy.ma. This also drops a boundary row two leaves share
-    packed.sort()
-    first = np.empty(packed.size, dtype=bool)
-    first[0] = True
-    np.not_equal(packed[1:], packed[:-1], out=first[1:])
-    packed = packed[first]
-    return np.stack([packed % (T + 1), packed // (T + 1)], axis=1)
+    return _by_value(members)
+
+
+def _by_value(rows: np.ndarray) -> np.ndarray:
+    """Int64 (num, den) rows of reduced fractions in [0, 1] with den <= 2^62,
+    in exact value order, each row once.
+
+    The float key num/den rounds num, den and their quotient, so it is off
+    by at most about 3*2^-53 of the value, and the keys never reorder two
+    values more than 2^-50 of the larger apart.  A repeated row has the same
+    key, so a neighbour compare over equal keys drops the copies that sort
+    next to each other.  Adjacent keys still that close form runs, and each
+    run is re-sorted by cross-multiplying; a run also keeps one of any copies
+    that a distinct row with an equal key kept apart (den > 2^53 only).
+    """
+    import numpy as np
+
+    num, den = rows[:, 0], rows[:, 1]
+    key = num / den
+    order = np.argsort(key)
+    key = key[order]
+    eq = np.flatnonzero(key[1:] == key[:-1])
+    lo, hi = order[eq], order[eq + 1]
+    copy = eq[(num[lo] == num[hi]) & (den[lo] == den[hi])] + 1
+    if copy.size:
+        order, key = np.delete(order, copy), np.delete(key, copy)
+    near = key[1:] - key[:-1] <= key[1:] * 2.0**-50
+    tied = np.concatenate(([False], near, [False]))
+    edges = np.flatnonzero(tied[1:] != tied[:-1])
+    for start, stop in zip(edges[::2], edges[1::2] + 1):
+        run = {(int(num[i]), int(den[i])): i for i in order[start:stop]}
+        ranked = sorted(run, key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
+        order[start:stop] = [run[r] for r in ranked] + [-1] * (stop - start - len(run))
+    return rows.take(order[order >= 0], axis=0)

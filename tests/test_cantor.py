@@ -561,7 +561,7 @@ def _scalar_witnesses(ds, rows):
 def test_witness_rows_in_small_chunks(monkeypatch, base, digits, T, chunk):
     # the vectorised witnesses equal the scalar walk's, chunk by chunk
     ds = DigitSet(base, digits)
-    rows = cantor._by_value(members_up_to(base, digits, T)).tolist()
+    rows = members_up_to(base, digits, T).tolist()
     want = _scalar_witnesses(ds, rows)
     monkeypatch.setattr(cantor, "_BUDGET", 4 * chunk)
     assert _row_witnesses(ds, rows) == want
@@ -570,7 +570,7 @@ def test_witness_rows_in_small_chunks(monkeypatch, base, digits, T, chunk):
 def test_witness_rows_multi_character_digits():
     # base 12 digits 10 and 11 are two characters each in the JSON line
     ds = DigitSet(12, (0, 10, 11))
-    rows = cantor._by_value(members_up_to(12, ds.digits, 200)).tolist()
+    rows = members_up_to(12, ds.digits, 200).tolist()
     got = _row_witnesses(ds, rows)
     assert got == _scalar_witnesses(ds, rows)
     # 10/11 = 0.(10)(10).. and 1 = 0.(11)(11)..

@@ -276,6 +276,30 @@ def test_enumerate_sources_are_exclusive(capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a zero or empty source is still given: it is no missing one
+        (("--max-den", "0", "--denominators", "3"), "exactly one"),
+        (("--max-den", "0"), "max denominator must be >= 1, got 0"),
+        (("--denominators", ","), "--denominators lists no denominator"),
+        (("--max-exp", "3", "--max-den", "10"), "--den-form and --max-exp"),
+        (("--max-exp", "3", "--denominators", "4"), "--den-form and --max-exp"),
+        (("--den-form", "2^k"), "--den-form and --max-exp"),
+        (("--den-form", "2^k", "--max-exp", "-1"), "--max-exp must be >= 0, got -1"),
+        # 2^61 is past 2^62/3: rejected without building 2^k up to k = 10^12
+        (
+            ("--den-form", "2^k", "--max-exp", "1000000000000"),
+            "denominator 2305843009213693952 outside",
+        ),
+    ],
+)
+def test_enumerate_rejects_bad_sources(capsys, argv, message):
+    code, out, err = run_cli(capsys, "enumerate", "--base", "3", "--digits", "0,2", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_enumerate_max_den_matches_denominator_list(capsys):
     code, out_a, _ = run_cli(
         capsys, "enumerate", "--base", "3", "--digits", "0,2", "--max-den", "9"
@@ -350,6 +374,13 @@ def test_verify_deterministic(capsys):
     assert all(line.startswith("ok ") for line in out1.splitlines())
     code, out2, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "3")
     assert out1 == out2
+
+
+def test_verify_rejects_negative_trials(capsys):
+    # no check runs a negative number of trials, so none may claim it
+    code, out, err = run_cli(capsys, "verify", "--trials", "-1")
+    assert code == 2 and out == ""
+    assert "--trials must be >= 0, got -1" in err
 
 
 def test_invariant_failures_exit_3(capsys, monkeypatch):
@@ -569,7 +600,8 @@ def test_enumerate_rejects_row_without_good_expansion(capsys, monkeypatch):
 
 def _scalar_enumerate_stdout(ds, T):
     # the sieve's rows in value order, each witness from its own scalar walk
-    rows = cantor._by_value(members_up_to(ds.base, ds.digits, T)).tolist()
+    rows = members_up_to(ds.base, ds.digits, T).tolist()
+    rows.sort(key=lambda r: Fraction(*r))
     out = []
     for a, d in rows:
         pre, period = cantor._witness_digits(ds, a, d)

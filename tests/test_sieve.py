@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from timesb import sieve
 from timesb.cantor import (
     DigitSet,
-    _by_value,
     count_members_up_to,
     count_report,
     enumerate_members,
@@ -23,7 +22,14 @@ from timesb.cantor import (
 )
 from timesb.errors import PreconditionError
 from timesb.orders import build_profile
-from timesb.sieve import _children, _descend, _root, limit_depth, members_up_to
+from timesb.sieve import (
+    _by_value,
+    _children,
+    _descend,
+    _root,
+    limit_depth,
+    members_up_to,
+)
 
 from oracles import reduced_members_oracle, simplest_fraction
 
@@ -209,9 +215,9 @@ def test_sieve_matches_certificate(base, digits, primes):
     cert = enumerate_s_integers(DigitSet(base, digits), build_profile(base, primes))
     smooth = set(smooth_denominators(primes, T))
     sieved = [(n, d) for n, d in members_up_to(base, digits, T).tolist() if d in smooth]
-    certified = [(a, d) for a, d, _, _ in cert.members]
-    by_den = sorted((r for r in certified if r[1] <= T), key=lambda r: (r[1], r[0]))
-    assert sieved == by_den and len(sieved) > 10
+    certified = [(a, d) for a, d, _, _ in cert.members if d <= T]
+    # both in value order
+    assert sieved == certified and len(sieved) > 10
 
 
 def test_jobs_do_not_change_output():
@@ -408,13 +414,15 @@ def test_descent_work_pinned(monkeypatch):
         assert all(got <= bound for got, bound in zip(calls, most)), (digits, calls)
 
 
-def _full_tree(base: int, digits: tuple[int, ...], T: int) -> np.ndarray:
-    """members_up_to without the mirror: the whole tree descended from the
-    root, then the same packing and np.unique."""
+def _full_tree(base: int, digits: tuple[int, ...], T: int) -> list[list[int]]:
+    """members_up_to without the mirror or the value sort: the whole tree
+    descended from the root, deduplicated by packing and np.unique, and
+    sorted by Fraction."""
     L = limit_depth(base, T)
     rows = sieve._descend_task(base, digits, T, L, [(0, _root())])
     packed = np.unique(rows[:, 1] * np.int64(T + 1) + rows[:, 0])
-    return np.stack([packed % (T + 1), packed // (T + 1)], axis=1)
+    rows = np.stack([packed % (T + 1), packed // (T + 1)], axis=1).tolist()
+    return sorted(rows, key=lambda r: Fraction(*r))
 
 
 def _reflection_cases():
@@ -442,12 +450,28 @@ def test_mirrored_sieve_matches_full_tree(monkeypatch, budget):
     cases = _reflection_cases()
     assert sum(all(b - 1 - c in d for c in d) for b, d, _ in cases) > 40
     for base, digits, T in cases:
-        got = members_up_to(base, digits, T)
-        assert np.array_equal(got, _full_tree(base, digits, T)), (base, digits, T)
+        got = members_up_to(base, digits, T).tolist()
+        assert got == _full_tree(base, digits, T), (base, digits, T)
     # the only member of base 3 {1} and base 7 {3} is 1/2, on the
     # all-middle path
     assert members_up_to(3, (1,), 40).tolist() == [[1, 2]]
     assert members_up_to(7, (3,), 40).tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_members_up_to_distinct_in_value_order(monkeypatch, jobs):
+    # every row once, strictly rising in value, and the whole tree's rows
+    # sorted by Fraction; base 5 {0,2,4} finds 1/2 twice, and 1/2 is the
+    # only member of base 3 {1}. At jobs 2 the pool maps in this process
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
+    cases = _reflection_cases()
+    assert (5, (0, 2, 4), 300) in cases and (3, (1,), 40) in cases
+    for base, digits, T in cases:
+        got = members_up_to(base, digits, T, jobs=jobs).tolist()
+        values = [Fraction(*r) for r in got]
+        assert all(x < y for x, y in zip(values, values[1:])), (base, digits, T)
+        assert got == _full_tree(base, digits, T), (base, digits, T)
 
 
 @settings(deadline=None, max_examples=25)
@@ -575,6 +599,25 @@ def test_by_value_exact_above_float_precision():
     rows = np.array(pairs, dtype=np.int64)
     got = [Fraction(a, d) for a, d in _by_value(rows).tolist()]
     assert got == sorted(Fraction(a, d) for a, d in pairs)
-    # a list of pairs is read as the same rows
-    assert _by_value(pairs).tolist() == _by_value(rows).tolist()
-    assert _by_value([]).shape == (0, 2)
+
+
+def test_by_value_drops_repeats_inside_tie_runs():
+    # rows near 1/3 with den in (2^60, 2^61) form tie runs of the float key;
+    # some rows come two or three times, scattered through the input
+    rng = random.Random(62)
+    pairs = set()
+    while len(pairs) < 200:
+        d = rng.randrange(2**60, 2**61)
+        for a in (d // 3 - 1, d // 3, d // 3 + 1):
+            if gcd(a, d) == 1:
+                pairs.add((a, d))
+    pairs = sorted(list(r) for r in pairs)
+    repeated = pairs + rng.sample(pairs, 80) + rng.sample(pairs, 30)
+    rng.shuffle(repeated)
+    rows = np.array(repeated, dtype=np.int64)
+    keys = rows[:, 0] / rows[:, 1]
+    assert len(set(keys.tolist())) < len(pairs)  # the keys do collide
+    got = _by_value(rows).tolist()
+    assert got == sorted(pairs, key=lambda r: Fraction(*r))
+    # one row three times and nothing else
+    assert _by_value(np.array([[1, 2]] * 3, dtype=np.int64)).tolist() == [[1, 2]]
