@@ -44,69 +44,51 @@ included); the same holds for V. A child's entries are combinations with
 coefficients summing to b, so at most b*S, its own scale. All entries are
 thus at most base^L < 2^62 (enforced), and the sums a step forms (such as
 a*k1 + k0 for a not-yet-finished descent, at most 2*S) stay below 2^63.
+The two rows a column carries past these eight, its prefix P < S and the
+prefix's period p <= depth (below), fit as well.
 
-Each surviving leaf's candidate num/den is settled by one walk over the
-remainders r -> base*r mod den, whose digits t // den (t = base*r) are the
-expansion's. Where it starts depends on s = base^L mod den. If s = 0, den
-divides base^L and the candidate is an endpoint of its leaf: one of its two
-expansions may leave the leaf at once, so the walk starts at r = num and
-settles both. Otherwise the candidate lies strictly inside its leaf, and
-every expansion of it begins with the leaf's L good digits: the unique one
-of a denominator with a prime outside the base's, and both of a terminating
-one (those of a/256 in base 6 at L = 7 part at depth 8). The walk then
-starts past them, at r = num*s mod den.
+Only the least point of each cycle of x -> base*x mod 1 is descended. The
+map takes a good expansion to a good expansion, and for den > 1 prime to
+the base it permutes the reduced a/den, each purely periodic, so the
+members of denominator den are whole cycles. The least point of a cycle has
+the expansion w w w ... for w the least rotation of its period, so every
+prefix of it is a prenecklace (Ruskey, Savage and Wang, "Generating
+necklaces", J. Algorithms 1992). A column keeps its prefix's value P and
+Fredricksen-Kessler-Maiorana period p (P = 0 and p = 1 at the root): digit c
+at position t+1 is allowed iff c >= a[t+1-p] = P // base^(p-1) % base, and
+c > a[t+1-p] sets p = t+1. This subsumes the reflection of a symmetric set:
+base 5 {1,3} finds 3/4 = 0.333... on the all-3 path. A leaf candidate with
+den > 1 prime to the base lies strictly inside its leaf and is walked from
+r = num over r -> base*r mod den, digits base*r // den. It is dropped at its
+first bad digit or remainder below num, and kept as its cycle's
+representative when r comes back to num. Other candidates are skipped.
 
-The walk (`_walk`) is vectorized over (r, den) rows and also settles the
-leaves of `timesb.cantor.enumerate_members`. Each round steps every live
-row and drops it at its first bad digit. A row ends when r reaches 0 after
-digit c: it is a member iff c and 0 are allowed (the greedy expansion) or
-c >= 1 and c-1 and base-1 are (the dual, ..(c-1)(base-1)(base-1)..). Other
-rows follow a Brent cycle check: a row is a member once r returns to its
-checkpoint, which is reset to r after steps 1, 2, 4, 8, ... A return means
-the checkpoint lies on the cycle and every remainder of the preperiod and
-the cycle has produced a good digit, so a row with preperiod mu and cycle
-length lambda finishes within about mu + 2*lambda rounds. The value 1
-(r = den) is a member iff base-1 is allowed.
-
-Reflection halves the tree of a symmetric digit set, D = {b-1-c : c in D}.
-The map x -> 1-x sends a/d to (d-a)/d, which has the same denominator
-(gcd(d-a, d) = gcd(a, d)), and an expansion 0.c1c2... to
-0.(b-1-c1)(b-1-c2)..., since the two add up to 0.(b-1)(b-1)... = 1. The two
-expansions of a terminating value, ..c0000.. and ..(c-1)(b-1)(b-1).., go to
-..(b-1-c)(b-1)(b-1).. and ..(b-c)0000.., the two of 1-x: x is a member iff
-1-x is. The map also takes the prefix tree onto itself, digit c to b-1-c,
-so a node survives iff its mirror does. A member's expansion first leaves
-the all-middle path m, mm, mmm, ... (m = (b-1)/2, odd b with m in D; else
-the path is the root alone) with some digit c at a path node. If c < b-1-c
-the member lies under that low child; if not, its mirror does. A member
-that never leaves the path within L digits lies in the middle leaf, whose
-interval is centred on 1/2, so it is 1/2 itself. The sieve therefore walks
-only the low children's subtrees of each path node, and whole the path node
-one level above the leaves if the path gets there, and adds the row
-(d-a, d) of every member (a, d) it finds. A non-symmetric set is the same
-walk with every digit low, no path below the root and no mirror. A row can
-come out twice: 1/2 is its own mirror, a value on the edge of two leaves is
-found in both, and the high leaves of the last path node find the mirrors
-of its low ones. Every copy is the same reduced (num, den), and the final
-value sort (_by_value) keeps one.
+Every member comes from the representatives. Each gives its cycle's points
+r/den with their predecessor digits c (base*r' = c*den + r for the point
+r'/den before), and the seeds 0/1 and 1/1 join with predecessor 0 and
+base-1 if that digit is allowed. Any other member has an exact preperiod
+m >= 1: its tail past m digits is such a point y, entered by a digit other
+than y's predecessor. So level 1 is (c + y)/base over the allowed c but
+y's predecessor digit, level m+1 is (c + z)/base over every allowed c and
+z in level m, each reduced by its gcd. For z = n/q that gcd divides base
+and is prime to q, so den never shrinks and a row over T is dropped with
+everything built from it; no power of the base is assumed, which composite
+bases need. A terminating value, ..c000.. and ..(c-1)(b-1)(b-1).., may come
+from both seeds, and the value sort (_by_value) keeps one row.
 
 The tree is walked depth first over blocks of columns under a fixed budget.
-A task starts from a stack of (depth, state) blocks pushed in rising depth
-order, the half tree's at most one per level. It pops a block, expands at
-most _BUDGET // k of its columns (k digits) through one `_children` and one
-`_descend` call, pushes the rest of the block back and the surviving
+A task pops a block, expands at most _BUDGET // k of its columns (k digits)
+through one `_children` and one `_descend` call, pushes the rest of the
+block back as a copy (a view would pin the whole block) and the surviving
 children one level down. No call sees more than _BUDGET columns (k if
-k > _BUDGET), and since the stack's depths rise strictly from bottom to top
-it holds at most one block per level: peak memory is about _BUDGET * L
-columns of 64 bytes, whatever the digit set. The rest is pushed as a copy,
-because a view would keep the whole popped block alive until the rest is
-popped. Leaf candidates go to the walk each time at least _BUDGET rows are
-held, and once at the end. With jobs > 1 the half tree's shallowest block
-is first grown breadth first, taking in each deeper block it reaches, to a
-frontier of at most _FRONTIER columns, which is cut into at most 4*jobs
-contiguous slices, one task each; the blocks still deeper, under the middle
-path, go on the last task's stack. The final sort makes the output the same
-for every split.
+k > _BUDGET), and the stack holds at most one block per level, since its
+depths rise strictly from bottom to top: peak memory is about _BUDGET * L
+columns of 10 int64 rows, whatever the digit set. Leaf candidates go to the
+walk each time at least _BUDGET rows are held, and once at the end. With
+jobs > 1 the root is first grown breadth first to a frontier of at most
+_FRONTIER columns, cut into at most 4*jobs contiguous slices, one task
+each. Tasks return their representatives, the calling process builds the
+rest, and the final sort makes the output the same for every split.
 
 numpy is imported by the functions that use it, on their first call, and
 the process pool only when jobs > 1: importing this module loads neither,
@@ -141,14 +123,17 @@ def limit_depth(base: int, T: int) -> int:
 
 def _root() -> np.ndarray:
     """Descent state of the root interval [0, 1], one column of rows u1, u2,
-    v1, v2, h1, h0, k1, k0."""
+    v1, v2, h1, h0, k1, k0, then the prefix P = 0 and its period p = 1."""
     import numpy as np
 
-    return np.array([[0], [1], [1], [1], [1], [0], [0], [1]], dtype=np.int64)
+    return np.array([[0], [1], [1], [1], [1], [0], [0], [1], [0], [1]], dtype=np.int64)
 
 
-def _children(state: np.ndarray, digits: Sequence[int], base: int) -> np.ndarray:
-    """Descent states of every digit child of every column, digit-major.
+def _children(
+    state: np.ndarray, digits: Sequence[int], base: int, depth: int
+) -> np.ndarray:
+    """Descent states, digit-major, of the digit children of every column at
+    this depth whose prefixes stay prenecklaces (see the module docstring).
 
     The child for digit c has endpoints (b-c)*left + c*right and
     (b-c-1)*left + (c+1)*right; the descent map is linear, so its state at
@@ -156,13 +141,18 @@ def _children(state: np.ndarray, digits: Sequence[int], base: int) -> np.ndarray
     """
     import numpy as np
 
-    u, w = state[:2, None], state[2:4, None] - state[:2, None]
-    out = np.empty((8, len(digits), state.shape[1]), dtype=np.int64)
-    np.multiply(np.array(digits, dtype=np.int64)[:, None], w, out=out[:2])
-    out[:2] += base * u
+    n = state.shape[1]
+    c = np.array(digits, dtype=np.int64)
+    up = c[:, None] - state[8] // base ** (state[9] - 1) % base  # c - a[t+1-p]
+    keep = np.flatnonzero(up >= 0)
+    c = c[keep // n]
+    out = state.take(keep % n, axis=1)
+    w = out[2:4] - out[:2]
+    out[:2] = base * out[:2] + c * w
     np.add(out[:2], w, out=out[2:4])
-    out[4:] = state[4:, None]
-    return out.reshape(8, -1)
+    out[8] = base * out[8] + c
+    out[9][up.ravel()[keep] > 0] = depth + 1
+    return out
 
 
 def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,14 +161,14 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     Returns (num, den, final) for the columns whose simplest fraction has
     den <= T, in no fixed order: num/den is that fraction and final the
     column's state at the step where its descent stopped, which is where its
-    children resume. Columns are dropped as soon as den must exceed T.
-    """
+    children resume. Columns are dropped as soon as den must exceed T, and
+    rows past the eighth are carried along."""
     import numpy as np
 
     parts = []
     cur = state
     for _ in range(_MAX_STEPS):
-        u1, u2, v1, v2, h1, h0, k1, k0 = cur
+        u1, u2, v1, v2, h1, h0, k1, k0 = cur[:8]
         fu, ru = np.divmod(u1, u2)
         fv, rv = np.divmod(v1, v2)
         # a = smallest integer >= the lower endpoint; the interval holds it
@@ -197,8 +187,8 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         # both endpoints have floor fu = a - 1, so x1 - fu*x2 is the
         # remainder and fu*k1 + k0 is den - k1. go is in range, and with
         # mode="clip" take writes into out without a scratch copy
-        cur = np.empty((8, go.size), dtype=np.int64)
-        for row, x in zip(cur, (u2, ru, v2, rv, h0, h1, den, k1)):
+        prev, cur = cur, np.empty((len(cur), go.size), dtype=np.int64)
+        for row, x in zip(cur, (u2, ru, v2, rv, h0, h1, den, k1, *prev[8:])):
             np.take(x, go, out=row, mode="clip")
         cur[4] += fu.take(go) * cur[5]
         cur[6] -= cur[7]
@@ -210,7 +200,16 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _walk(base: int, digits: Sequence[int], r: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Member mask of int64 rows (r, den), 0 <= r <= den, each the value
-    r/den of the digits past a good prefix (see the module docstring)."""
+    r/den of the digits past a good prefix: the per-denominator leaves of
+    `timesb.cantor.enumerate_members`.
+
+    Each round steps every live row and drops it at its first bad digit. A
+    row reaching r = 0 after digit c is a member iff c and 0 are allowed
+    (greedy) or c >= 1 and c-1 and base-1 are (dual). Other rows are members
+    once r returns to a checkpoint reset after steps 1, 2, 4, 8, ... (Brent):
+    about preperiod + 2 * cycle length rounds. The value 1 (r = den) is a
+    member iff base-1 is allowed.
+    """
     import numpy as np
 
     good = np.zeros(base, dtype=bool)
@@ -243,54 +242,41 @@ def _walk(base: int, digits: Sequence[int], r: np.ndarray, den: np.ndarray) -> n
 
 
 def _leaf_members(
-    base: int, digits: tuple[int, ...], L: int, nums: list, dens: list
+    base: int, digits: tuple[int, ...], nums: list, dens: list
 ) -> np.ndarray:
-    """The (num, den) rows of the leaf candidates, given as lists of num and
-    den blocks, that are members."""
+    """The (num, den) rows of the cycle representatives among the leaf
+    candidates, given as lists of num and den blocks: den > 1 prime to the
+    base, every digit good, and num the least remainder of its cycle."""
     import numpy as np
 
     num, den = np.concatenate(nums), np.concatenate(dens)
-    # s = 0: den | base^L, a point of the leaf's boundary, walked from num;
-    # else strictly inside, past the leaf's L good digits
-    s = np.int64(pow(base, L)) % den  # base^L < 2^62 by the members_up_to guard
-    r = np.where(s == 0, num, num * s % den)  # num * s < T^2 < base^L
-    hit = _walk(base, digits, r, den)
+    good = np.zeros(base, dtype=bool)
+    good[list(digits)] = True
+    row = np.flatnonzero((den > 1) & (np.gcd(den, base) == 1))
+    r = num[row]
+    kept = [row[:0]]
+    while row.size:
+        c, r = np.divmod(base * r, den[row])
+        n = num[row]
+        ok = good[c] & (r >= n)
+        back = ok & (r == n)
+        kept.append(row[back])
+        live = np.flatnonzero(ok ^ back)
+        row, r = row[live], r[live]
+    hit = np.concatenate(kept)
     return np.stack([num[hit], den[hit]], axis=1)
 
 
-def _half_tree(
-    base: int, low: tuple[int, ...], mid: tuple[int, ...], T: int, L: int
-) -> list[tuple[int, np.ndarray]]:
-    """The (depth, state) blocks, in rising depth, of the subtrees the sieve
-    walks: the low digits' children of each node on the all-middle path, and
-    whole the path node one level above the leaves if the path gets there
-    (see the module docstring)."""
-    blocks, depth, path = [], 0, _root()
-    while mid and depth + 2 < L and path.shape[1]:
-        blocks.append((depth + 1, _descend(_children(path, low, base), T)[2]))
-        path = _descend(_children(path, mid, base), T)[2]
-        depth += 1
-    if depth + 1 < L:
-        path = _descend(_children(path, low + mid, base), T)[2]
-        depth += 1
-    return blocks + [(depth, path)]
-
-
 def _descend_task(
-    base: int,
-    digits: tuple[int, ...],
-    T: int,
-    L: int,
-    stack: list[tuple[int, np.ndarray]],
+    base: int, digits: tuple[int, ...], T: int, L: int, depth: int, state: np.ndarray
 ) -> np.ndarray:
-    """From (depth, state) blocks of final states at depths < L, rising
-    from first to last, down to the leaves, depth first over blocks of
-    columns (see the module docstring); returns the (num, den) rows of the
-    leaf candidates that are members."""
+    """The (num, den) rows of the cycle representatives among the leaves
+    under a block of final states at depth < L, descended depth first over
+    blocks of columns (see the module docstring)."""
     import numpy as np
 
     step = max(1, _BUDGET // len(digits))  # columns expanded per call
-    stack = list(stack)
+    stack = [(depth, state)]
     nums, dens, found = [], [], []
     held = 0
     while stack:
@@ -299,7 +285,7 @@ def _descend_task(
             # a copy: a view of the rest would pin the whole block
             stack.append((depth, state[:, step:].copy()))
             state = state[:, :step]
-        num, den, state = _descend(_children(state, digits, base), T)
+        num, den, state = _descend(_children(state, digits, base, depth), T)
         if depth + 1 < L:
             if state.shape[1]:
                 stack.append((depth + 1, state))
@@ -308,11 +294,43 @@ def _descend_task(
         dens.append(den)
         held += num.size
         if held >= _BUDGET:
-            found.append(_leaf_members(base, digits, L, nums, dens))
+            found.append(_leaf_members(base, digits, nums, dens))
             nums, dens, held = [], [], 0
     if nums:
-        found.append(_leaf_members(base, digits, L, nums, dens))
+        found.append(_leaf_members(base, digits, nums, dens))
     return np.concatenate(found) if found else np.empty((0, 2), np.int64)
+
+
+def _orbits(
+    base: int, digits: tuple[int, ...], T: int, reps: np.ndarray
+) -> np.ndarray:
+    """The (num, den) rows of every member with den <= T, unordered and
+    possibly repeated: the cycles of the representatives reps, the seeds and
+    the preperiodic levels built over them (see the module docstring)."""
+    import numpy as np
+
+    seeds = np.array([[0, 1, 0], [1, 1, base - 1]], dtype=np.int64)
+    points = [seeds[np.isin(seeds[:, 2], digits)]]
+    first, d = reps.T
+    r = first
+    while r.size:
+        pred, r = np.divmod(base * r, d)
+        points.append(np.stack([r, d, pred], axis=1))
+        live = np.flatnonzero(r != first)
+        first, d, r = first[live], d[live], r[live]
+    n, q, pred = np.concatenate(points).T
+    c = np.array(digits, dtype=np.int64)[:, None]
+    rows = [np.stack([n, q], axis=1)]
+    keep = c != pred  # level 1 leaves the cycle, so its digit is not pred
+    while n.size:
+        n, q = np.broadcast_arrays(c * q + n, base * q)
+        g = np.gcd(n, base)
+        keep &= q // g <= T
+        g = g[keep]
+        n, q = n[keep] // g, q[keep] // g
+        rows.append(np.stack([n, q], axis=1))
+        keep = True
+    return np.concatenate(rows)
 
 
 def members_up_to(
@@ -341,27 +359,14 @@ def members_up_to(
             f"max denominator {T} too large for the int64 engine"
         )
 
-    # x -> 1 - x maps a symmetric set onto itself: walk the low half only
-    mirror = all(base - 1 - c in digits for c in digits)
-    low = tuple(c for c in digits if not mirror or c < base - 1 - c)
-    mid = tuple(c for c in digits if mirror and c == base - 1 - c)
-    blocks = _half_tree(base, low, mid, T, L)
-    tasks = [blocks]
-    if jobs > 1:
-        # frontier: grow the shallowest block breadth first, taking in the
-        # next level's block, until there is enough parallel grain; stop
-        # above the leaves so that every task descends a level. The deeper
-        # blocks, under the middle path, ride with the last slice
-        (depth, state), *blocks = blocks
-        while depth + 1 < L and 0 < state.shape[1] * len(digits) <= _FRONTIER:
-            _, _, state = _descend(_children(state, digits, base), T)
-            depth += 1
-            if blocks and blocks[0][0] == depth:
-                state = np.concatenate([state, blocks.pop(0)[1]], axis=1)
-        parts = max(1, min(4 * jobs, state.shape[1]))
-        tasks = [[(depth, s)] for s in np.array_split(state, parts, axis=1)]
-        tasks[-1] += blocks
-    run = partial(_descend_task, base, digits, T, L)
+    # frontier: grow the root breadth first until there is enough parallel
+    # grain; stop above the leaves so that every task descends a level
+    depth, state = 0, _root()
+    while jobs > 1 and depth + 1 < L and 0 < state.shape[1] * len(digits) <= _FRONTIER:
+        state = _descend(_children(state, digits, base, depth), T)[2]
+        depth += 1
+    tasks = np.array_split(state, max(1, min(4 * jobs, state.shape[1])), axis=1)
+    run = partial(_descend_task, base, digits, T, L, depth)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         results = [run(t) for t in tasks]
@@ -373,12 +378,7 @@ def members_up_to(
                 results = list(pool.map(run, tasks, chunksize=1))
         except BrokenProcessPool as exc:
             raise InvariantError(f"a worker process died: {exc}") from exc
-
-    members = np.concatenate(results)
-    if mirror:
-        num, den = members.T
-        members = np.concatenate([members, np.stack([den - num, den], axis=1)])
-    return _by_value(members)
+    return _by_value(_orbits(base, digits, T, np.concatenate(results)))
 
 
 def _by_value(rows: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze golden values.
 
 Nothing here imports the package under test. Membership is decided by a
-mask-doubling walk over residues, prime data comes from a smallest-prime-
+mask-doubling walk over residues or along Fraction orbits, the members up to
+a denominator by the whole-tree interval sieve, prime data comes from a smallest-prime-
 factor sieve, and the constants are evaluated with the same expression
 shapes the package documents (float64, natural log), so agreement is exact.
 
@@ -130,6 +131,74 @@ def witness_oracle(base: int, digits, x: Fraction):
         if good.issuperset(head + [base - 1]):
             return tuple(head), (base - 1,)
     return None
+
+
+def is_prenecklace(word) -> bool:
+    """Is the digit list a prefix of a necklace, a word no rotation of which
+    is smaller? Equivalently, no suffix is smaller than the prefix of its
+    length."""
+    return all(word[i:] >= word[: len(word) - i] for i in range(1, len(word)))
+
+
+def whole_tree_members(base: int, digits, T: int) -> list[list[int]]:
+    """[num, den] of every member with den <= T, each once, in value order,
+    by the interval sieve over the whole digit tree: no prenecklace rule, no
+    orbit build.
+
+    Each level takes every digit child of every prefix. A child's state at
+    its parent's last continued-fraction step is the same linear combination
+    of the parent's endpoint vectors as its endpoints, and its descent
+    resumes there; a prefix survives while the simplest fraction of its
+    interval [P/b^l, (P+1)/b^l] has den <= T. Past depth L (b^L > T^2) each
+    leaf holds one candidate. A candidate whose den divides b^L is an
+    endpoint of its leaf and is decided from its own value; any other lies
+    strictly inside, so every expansion of it starts with the leaf's L good
+    digits, and its tail num*b^L mod den over den is decided instead, by
+    witness_oracle's rule on the remainders of the tail's orbit: its greedy
+    digits, else the dual expansion of a terminating value.
+    """
+    L = 1
+    while base**L <= T * T:
+        L += 1
+    state = np.array([[0], [1], [1], [1], [1], [0], [0], [1]], dtype=np.int64)
+    c = np.array(sorted(digits), dtype=np.int64)[:, None]
+    for _ in range(L):
+        u, w = state[:2, None], state[2:4, None] - state[:2, None]
+        kids = np.empty((8, len(c), state.shape[1]), dtype=np.int64)
+        kids[:2] = base * u + c * w
+        kids[2:4] = kids[:2] + w
+        kids[4:] = state[4:, None]
+        nums, dens, done = [], [], []
+        cur = kids.reshape(8, -1)
+        while cur.shape[1]:
+            u1, u2, v1, v2, h1, h0, k1, k0 = cur
+            a = np.minimum(-(-u1 // u2), -(-v1 // v2))  # least integer >= an endpoint
+            fin = np.maximum(u1 // u2, v1 // v2) >= a
+            den = a * k1 + k0
+            live = den <= T
+            nums.append((a * h1 + h0)[fin & live])
+            dens.append(den[fin & live])
+            done.append(cur[:, fin & live])
+            go = live & ~fin
+            f = a[go] - 1
+            cur = np.stack([u2[go], u1[go] - f * u2[go], v2[go], v1[go] - f * v2[go],
+                            f * h1[go] + h0[go], h1[go], f * k1[go] + k0[go], k1[go]])
+        state = np.concatenate(done, axis=1)
+    good = set(digits)
+    found = set()
+    for num, den in zip(np.concatenate(nums).tolist(), np.concatenate(dens).tolist()):
+        s = pow(base, L, den)
+        r = num * s % den if s else num
+        if r == den:
+            hit = base - 1 in good
+        else:
+            rems, cut = remainder_walk_oracle(base, r, den)
+            greedy = [base * x // den for x in rems]
+            dual = greedy[:cut - 1] + [greedy[cut - 1] - 1, base - 1]
+            hit = good.issuperset(greedy) or rems[cut] == 0 < cut and good.issuperset(dual)
+        if hit:
+            found.add((num, den))
+    return [list(r) for r in sorted(found, key=lambda r: Fraction(*r))]
 
 
 def coprime_part(d: int, base: int) -> int:

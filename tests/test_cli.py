@@ -472,6 +472,24 @@ def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):
     assert "Exception ignored" not in proc.stderr
 
 
+def test_count_non_symmetric_bytes_match_across_jobs():
+    # base 3 {0,1} is no mirror of itself: the same bytes at jobs 1 and 2,
+    # and the totals the whole-tree sieve printed
+    cmd = [sys.executable, "-m", "timesb", "count", "--base", "3", "--digits",
+           "0,1", "--max-den", "200000", "--coprime"]
+    outs = [
+        subprocess.run(cmd + ["--jobs", j], capture_output=True, text=True, timeout=120)
+        for j in ("1", "2")
+    ]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+    assert outs[0].stdout.splitlines() == [
+        "T,count_reduced,count_all,includes_endpoints",
+        "200000,11078,506229,true",
+        "200000,11077,372895,false",
+    ]
+
+
 def test_jobs_env_default(monkeypatch):
     monkeypatch.setenv("TIMESB_JOBS", "4")
     assert cli._default_jobs() == 4

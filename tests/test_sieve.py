@@ -31,7 +31,12 @@ from timesb.sieve import (
     members_up_to,
 )
 
-from oracles import reduced_members_oracle, simplest_fraction
+from oracles import (
+    is_prenecklace,
+    reduced_members_oracle,
+    simplest_fraction,
+    whole_tree_members,
+)
 
 
 def naive_members(ds: DigitSet, T: int) -> list[Fraction]:
@@ -43,6 +48,15 @@ def naive_members(ds: DigitSet, T: int) -> list[Fraction]:
     )
 
 
+def every_child(state: np.ndarray, digits, base: int) -> np.ndarray:
+    """_children with the prenecklace rule off: each column's prefix reads
+    as 0 with period 1, so every digit passes. Rows 8 and 9 of the result
+    are then meaningless; the descent only carries them."""
+    state = state.copy()
+    state[8], state[9] = 0, 1
+    return _children(state, digits, base, 0)
+
+
 def resumed_simplest(P: int, depth: int, base: int) -> tuple[int, int]:
     """Simplest fraction of [P/base^depth, (P+1)/base^depth], reached the way
     the sieve reaches it: one resumed descent per digit of P from the root."""
@@ -50,7 +64,7 @@ def resumed_simplest(P: int, depth: int, base: int) -> tuple[int, int]:
     scale = 1
     for c in reversed([P // base**i % base for i in range(depth)]):
         scale *= base
-        num, den, state = _descend(_children(state, (c,), base), scale)
+        num, den, state = _descend(every_child(state, (c,), base), scale)
     return int(num[0]), int(den[0])
 
 
@@ -58,7 +72,7 @@ def column_prefixes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, S) of each column: the convergent matrix times its left endpoint.
 
     Every term is nonnegative and at most P or S, so nothing overflows."""
-    u1, u2, _, _, h1, h0, k1, k0 = state
+    u1, u2, _, _, h1, h0, k1, k0 = state[:8]
     return h1 * u1 + h0 * u2, k1 * u1 + k0 * u2
 
 
@@ -92,7 +106,7 @@ def test_resumed_descent_matches_oracle_to_int64_guard(data):
     P = 0
     for depth, c in enumerate(path, start=1):
         scale = base**depth
-        kids = _children(state, range(base), base)
+        kids = every_child(state, range(base), base)
         want = {
             P * base + j: simplest_fraction(P * base + j, scale, P * base + j + 1, scale)
             for j in range(base)
@@ -107,15 +121,16 @@ def test_resumed_descent_matches_oracle_to_int64_guard(data):
         got = {int(q): (int(n), int(d)) for q, n, d in zip(pref, num, den)}
         assert got == {q: nd for q, nd in want.items() if nd[1] <= T}
         P = P * base + c
-        state = _descend(_children(state, (c,), base), scale)[2]
+        state = _descend(every_child(state, (c,), base), scale)[2]
         assert int(column_prefixes(state)[0][0]) == P
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_sieve_levels_match_oracle(data):
-    # the whole pruned tree, level by level: the survivors and their simplest
-    # fractions equal those of a Python-int walk that descends from scratch
+    # the whole pruned tree, level by level: the survivors, their simplest
+    # fractions and their prefixes equal those of a Python-int walk that
+    # descends from scratch and keeps the prenecklace prefixes
     base = data.draw(st.integers(min_value=2, max_value=10))
     digits = tuple(
         sorted(data.draw(st.sets(st.integers(0, base - 1), min_size=1, max_size=base - 1)))
@@ -128,13 +143,14 @@ def test_sieve_levels_match_oracle(data):
         want = {}
         for P in (q * base + c for q in want_level for c in digits):
             nd = simplest_fraction(P, scale, P + 1, scale)
-            if nd[1] <= T:
+            if nd[1] <= T and is_prenecklace([P // base**i % base for i in range(depth)][::-1]):
                 want[P] = nd
-        num, den, state = _descend(_children(state, digits, base), T)
+        num, den, state = _descend(_children(state, digits, base, depth - 1), T)
         pref, _ = column_prefixes(state)
         got = {int(q): (int(n), int(d)) for q, n, d in zip(pref, num, den)}
         assert len(got) == len(pref)
         assert got == want
+        assert np.array_equal(state[8], pref)
         want_level = sorted(want)
 
 
@@ -230,8 +246,7 @@ def test_jobs_do_not_change_output():
     rows = members_up_to(3, (0, 2), 5000, jobs=1)
     for jobs in (2, 3):
         assert np.array_equal(members_up_to(3, (0, 2), 5000, jobs=jobs), rows)
-    # a middle digit: the blocks under the all-middle path ride with the
-    # last frontier slice
+    # a middle digit, whose all-2 path holds 1/2
     rows = members_up_to(5, (0, 2, 4), 3000, jobs=1)
     for jobs in (2, 3):
         assert np.array_equal(members_up_to(5, (0, 2, 4), 3000, jobs=jobs), rows)
@@ -261,15 +276,16 @@ def test_small_budgets_match_default_and_naive_scan(monkeypatch, budget):
 @pytest.mark.parametrize("budget", [1, 16, sieve._BUDGET])
 def test_children_calls_stay_within_budget(monkeypatch, budget):
     # the memory invariant: no call expands more than the budget's columns
-    # (or one column's children, when the budget is below the digit count)
+    # (or one column's children, when the budget is below the digit count);
+    # a call expands all k digits of each column, then drops the children
+    # that leave the prenecklaces
     digits, T = (0, 2), 2000
     want = members_up_to(3, digits, T)
     sizes = []
 
-    def spy(state, digits, base):
-        out = _children(state, digits, base)
-        sizes.append(out.shape[1])
-        return out
+    def spy(state, digits, base, depth):
+        sizes.append(state.shape[1] * len(digits))
+        return _children(state, digits, base, depth)
 
     monkeypatch.setattr(sieve, "_BUDGET", budget)
     monkeypatch.setattr(sieve, "_children", spy)
@@ -337,68 +353,101 @@ def _leaf_cases():
     return cases
 
 
-def test_leaf_start_rule_matches_walk_from_num(monkeypatch):
-    # oracle for the leaf rule: every candidate walked from r = num, which
-    # reads all its digits and skips none of its leaf's
-    real = sieve._leaf_members
-    seen = []
-
-    def spy(base, digits, L, nums, dens):
-        got = real(base, digits, L, nums, dens)
-        num, den = np.concatenate(nums), np.concatenate(dens)
-        hit = sieve._walk(base, digits, num, den)
-        assert np.array_equal(got, np.stack([num[hit], den[hit]], axis=1))
-        # interior rows whose denominator has only the base's primes (64
-        # exceeds every prime exponent of a den <= 300)
-        seen.extend(d for d in den.tolist() if pow(base, L, d) and not pow(base, 64, d))
-        return got
-
-    monkeypatch.setattr(sieve, "_leaf_members", spy)
+def test_leaf_start_rule_matches_walk_from_num():
+    # the whole-tree oracle walks every candidate past its leaf's digits
+    # (the leaf start rule); the sieve walks only cycle representatives,
+    # from r = num, and builds the terminating rows from the seeds 0/1 and
+    # 1/1, among them rows strictly inside their leaf (den does not divide
+    # base^L) whose two expansions part only past depth L, and rows whose
+    # den's base part is not a power of the base (composite bases 6, 10, 12)
+    inside, skew = set(), set()
     for base, digits, T in _leaf_cases():
-        members_up_to(base, digits, T)
-    assert seen  # terminating candidates took the depth-L start too
+        L = limit_depth(base, T)
+        got = members_up_to(base, digits, T).tolist()
+        assert got == whole_tree_members(base, digits, T), (base, digits, T)
+        # 64 exceeds every prime exponent of a den <= 300
+        smooth = [d for _, d in got if not pow(base, 64, d)]
+        inside |= {base for d in smooth if pow(base, L, d)}
+        skew |= {base for d in smooth if d not in {base**m for m in range(L)}}
+    assert inside == {6, 10} and skew == {6, 10, 12}
 
 
 @pytest.mark.parametrize(
     "base, digits, T, num, den, r",
     [
-        # 0.444043 in base 6, L = 5: 64 does not divide 6^5, so the walk
-        # starts at depth 5 with the remainder of 0.3 (r/64 = 1/2)
+        # 0.444043 in base 6, L = 5: 64 does not divide 6^5, so the oracle
+        # walks from depth 5, from the remainder of 0.3 (r/64 = 1/2)
         (6, (0, 3, 4), 64, 51, 64, 32),
-        # 0.22265625 in base 10, L = 5: starts at 0.625 (r/256)
+        # 0.22265625 in base 10, L = 5: from 0.625 (r/256)
         (10, (0, 2, 5, 6), 300, 57, 256, 160),
     ],
 )
-def test_smooth_interior_rows_walk_from_depth_L(monkeypatch, base, digits, T, num, den, r):
-    # base-smooth denominators that do not divide base^L: both expansions
-    # part from each other only past depth L
+def test_smooth_interior_rows_walk_from_depth_L(base, digits, T, num, den, r):
+    # base-smooth denominators that do not divide base^L and are no power
+    # of the base: the whole-tree oracle finds the row by its tail past
+    # depth L; the sieve builds it from the seed 0/1, since its greedy
+    # expansion ends in 0s, reducing its den by a gcd at each level
     L = limit_depth(base, T)
-    assert L == 5 and pow(base, L, den) != 0
-    assert num * base**L % den == r
+    assert L == 5 and pow(base, L, den) != 0 and den not in {base**m for m in range(9)}
+    assert num * base**L % den == r and 0 in digits and pow(base, 8, den) == 0
     assert [num, den] in members_up_to(base, digits, T).tolist()
+    assert [num, den] in whole_tree_members(base, digits, T)
     assert member(DigitSet(base, digits), Fraction(num, den))
-    starts = []
-    real = sieve._walk
 
-    def spy(base, digits, r, den):
-        starts.append(r.tolist())
-        return real(base, digits, r, den)
 
-    monkeypatch.setattr(sieve, "_walk", spy)
-    rows = sieve._leaf_members(base, digits, L, [np.array([num])], [np.array([den])])
-    assert starts == [[r]] and rows.tolist() == [[num, den]]
+@pytest.mark.parametrize(
+    "base, digits, T",
+    [
+        (4, (0, 1, 3), 300),
+        (6, (0, 1, 5), 300),
+        (10, (0, 5, 9), 300),
+        (12, (0, 3, 8, 11), 200),
+        (5, (1, 3), 400),
+        (7, (6,), 50),
+        (3, (1,), 50),
+    ],
+)
+def test_orbit_build_edge_cases(base, digits, T):
+    # composite bases, where a den's base part need not be a power of the
+    # base, and sets without 0 or without base-1, which lack one seed or both
+    rows = members_up_to(base, digits, T).tolist()
+    assert rows == whole_tree_members(base, digits, T)
+    assert _fractions(np.array(rows)) == naive_members(DigitSet(base, digits), T)
+    assert ([0, 1] in rows) == (0 in digits)
+    assert ([1, 1] in rows) == (base - 1 in digits)
+
+
+def test_terminating_value_from_both_seeds_kept_once(monkeypatch):
+    # 1/4 = 0.1000... = 0.0333... in base 4 {0,1,3}: built from the seed 0/1
+    # and from the seed 1/1, and printed once
+    real = sieve._orbits
+    built = []
+
+    def spy(*args):
+        out = real(*args)
+        built.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(sieve, "_orbits", spy)
+    rows = members_up_to(4, (0, 1, 3), 20).tolist()
+    assert built.count([1, 4]) == 2 and rows.count([1, 4]) == 1
+    # one seed and nothing built from it: 0.666... = 1 in base 7 {6}; no
+    # seed: 0.111... = 1/2 in base 3 {1}
+    assert members_up_to(7, (6,), 50).tolist() == [[1, 1]]
+    assert members_up_to(3, (1,), 50).tolist() == [[1, 2]]
 
 
 def test_descent_work_pinned(monkeypatch):
     # the tree the sieve visits at T = 20000; a change that widens it fails
-    # here rather than only running slower. The symmetric {0,2} walks the
-    # low half of its tree, the non-symmetric {0,1} all of it
-    real = sieve._descend
-    for digits, n_rows, most in (
-        ((0, 2), 11700, (60, 304349, 181473)),
-        ((0, 1), 8195, (107, 603618, 358426)),
+    # here rather than only running slower. Both sets descend only their
+    # prenecklace prefixes, and the leaves keep one row per cycle
+    real, real_leaf = sieve._descend, sieve._leaf_members
+    for digits, n_rows, most, n_reps in (
+        ((0, 2), 11700, (30, 74877, 46577), 334),
+        ((0, 1), 8195, (30, 74908, 46412), 254),
     ):
         calls = [0, 0, 0]
+        reps = []
 
         def spy(state, T):
             num, den, final = real(state, T)
@@ -407,22 +456,18 @@ def test_descent_work_pinned(monkeypatch):
             calls[2] += final.shape[1]
             return num, den, final
 
+        def leaf_spy(*args):
+            out = real_leaf(*args)
+            reps.extend(out.tolist())
+            return out
+
         monkeypatch.setattr(sieve, "_descend", spy)
+        monkeypatch.setattr(sieve, "_leaf_members", leaf_spy)
         rows = members_up_to(3, digits, 20000)
         assert len(rows) == n_rows
         # calls, columns in and columns kept
         assert all(got <= bound for got, bound in zip(calls, most)), (digits, calls)
-
-
-def _full_tree(base: int, digits: tuple[int, ...], T: int) -> list[list[int]]:
-    """members_up_to without the mirror or the value sort: the whole tree
-    descended from the root, deduplicated by packing and np.unique, and
-    sorted by Fraction."""
-    L = limit_depth(base, T)
-    rows = sieve._descend_task(base, digits, T, L, [(0, _root())])
-    packed = np.unique(rows[:, 1] * np.int64(T + 1) + rows[:, 0])
-    rows = np.stack([packed % (T + 1), packed // (T + 1)], axis=1).tolist()
-    return sorted(rows, key=lambda r: Fraction(*r))
+        assert len(reps) == n_reps
 
 
 def _reflection_cases():
@@ -442,18 +487,23 @@ def _reflection_cases():
 
 
 @pytest.mark.parametrize("budget", [1, 16, sieve._BUDGET])
-def test_mirrored_sieve_matches_full_tree(monkeypatch, budget):
-    # oracle for the reflection x -> 1 - x: the low half of a symmetric
-    # set's tree plus the mirror rows equals the whole tree; a
-    # non-symmetric set walks the whole tree and mirrors nothing
+def test_sieve_matches_whole_tree_members(monkeypatch, budget):
+    # oracle for the prenecklace rule and the orbit build: the whole tree,
+    # every candidate walked, gives the same rows, for symmetric and
+    # non-symmetric sets alike, at jobs 1 and 2 (the pool maps in this
+    # process)
     monkeypatch.setattr(sieve, "_BUDGET", budget)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
     cases = _reflection_cases()
     assert sum(all(b - 1 - c in d for c in d) for b, d, _ in cases) > 40
     for base, digits, T in cases:
-        got = members_up_to(base, digits, T).tolist()
-        assert got == _full_tree(base, digits, T), (base, digits, T)
-    # the only member of base 3 {1} and base 7 {3} is 1/2, on the
-    # all-middle path
+        want = whole_tree_members(base, digits, T)
+        for jobs in (1, 2):
+            got = members_up_to(base, digits, T, jobs=jobs).tolist()
+            assert got == want, (base, digits, T, jobs)
+    # the only member of base 3 {1} and base 7 {3} is 1/2, a cycle of one
+    # point
     assert members_up_to(3, (1,), 40).tolist() == [[1, 2]]
     assert members_up_to(7, (3,), 40).tolist() == [[1, 2]]
 
@@ -471,7 +521,7 @@ def test_members_up_to_distinct_in_value_order(monkeypatch, jobs):
         got = members_up_to(base, digits, T, jobs=jobs).tolist()
         values = [Fraction(*r) for r in got]
         assert all(x < y for x, y in zip(values, values[1:])), (base, digits, T)
-        assert got == _full_tree(base, digits, T), (base, digits, T)
+        assert got == whole_tree_members(base, digits, T), (base, digits, T)
 
 
 @settings(deadline=None, max_examples=25)
