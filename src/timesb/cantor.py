@@ -20,15 +20,23 @@ denominators whose coset lattice is coarse enough to miss the interval, and
 only those are walked.  A lattice spacing exactly equal to the interval
 length is walked too, so the boundary stays conservative.
 
-The members over one denominator d come from a descent of the good-digit
-tree.  Prefix P at depth l (S = b^l) holds the a with P*d <= a*S <= (P+1)*d,
-q + [e > 0] .. q + (e + d) // S for P*d = q*S + e, 0 <= e < S; a node with
-none is dropped.  Digit c adds the quotient of b*e + c*d by b*S onto q and
-leaves the remainder as e, below (2b-1)*d < 2^63.  Once S > d a node holds at
-most one a, and the sieve's walk settles its tail r/d past P, r = a*S - P*d =
-S*[e > 0] - e (r = 0 is the tail 0^inf, r = d is (b-1)^inf).  A value on two
-nodes' edge is found twice, and the sieve's value sort keeps one; a level
-wider than _BUDGET is descended in halves.
+The members over given denominators come from their cores: rounds of
+d //= gcd(d, b) leave the core d' of d, prime to b, and a member over d has
+a member over d' as its tail.  For d' > 1 those are whole cycles of
+x -> b*x mod 1, so each distinct core descends the good-digit tree once.
+Prefix P at depth l (S = b^l) holds the a with P*d' <= a*S <= (P+1)*d',
+q + [e > 0] .. q + (e + d') // S for P*d' = q*S + e, 0 <= e < S; a node with
+none is dropped.  Digit c adds the quotient of b*e + c*d' by b*S onto q and
+leaves the remainder as e, below (2b-1)*d' < 2^63; a level wider than
+_BUDGET is descended in halves.  Once S > d' a node holds at most one a, and
+one with 0 < a < d' (0 and 1 are seeds) has the tail r = a*S - P*d' =
+S*[e > 0] - e in (0, d') past P.  The sieve's leaf walk starts there, past
+the good prefix, and keeps the least point of each all-good cycle; those
+with gcd(a, d') = 1 go to the sieve's orbit build, which adds their cycles,
+the seeds (core 1) and the preperiodic levels over each core up to its
+largest requested d: a list prime to b builds no level, and no level is
+built for a core no d asks for.  The rows of a requested den are kept, and
+the value sort keeps one of a repeated row.
 
 A member's witness is its eventually periodic expansion.  For a/d reduced
 the preperiod mu is fixed by the part of d shared with b, and the period is
@@ -53,7 +61,7 @@ from .numtheory import factorize
 from .orbit import _remainder_walk, density_bound
 from .orders import OrderProfile
 from .rational import frac_str
-from .sieve import _BUDGET, _by_value, _walk, members_up_to
+from .sieve import _BUDGET, _by_value, _leaf_members, _orbits, members_up_to
 
 if TYPE_CHECKING:
     import numpy as np
@@ -364,26 +372,14 @@ def member(ds: DigitSet, x: Fraction) -> bool:
     return member_witness(ds, x) is not None
 
 
-def enumerate_members(
-    ds: DigitSet, denominators: Iterable[int]
-) -> Iterator[tuple[int, int, list, list]]:
-    """(num, den, preperiod, period) of every reduced member num/den over the
-    given distinct denominators, value-ascending, as _witness_rows yields it.
-
-    Denominator 1 contributes the endpoints.  Each d descends the good-digit
-    tree, whose leaves the sieve's walk settles (module docstring).
-    """
+def _core_leaves(ds: DigitSet, cores: Iterable[int]) -> Iterator[np.ndarray]:
+    """Blocks of leaf rows (a, d, r) for sieve._leaf_members: every a with
+    0 < a < d on a leaf of d's good-digit tree, and r its tail past the
+    leaf's prefix, over each core d > 1 (module docstring)."""
     import numpy as np
 
-    dens = list(denominators)
-    for d in dens:
-        if not 1 <= d <= 2**62 // ds.base:
-            raise PreconditionError(f"denominator {d} outside 1..2^62/base")
-    if len(set(dens)) != len(dens):
-        raise PreconditionError("duplicate denominator")
     zero = np.zeros(1, dtype=np.int64)
-    rows = [np.empty((0, 2), dtype=np.int64)]
-    for d in dens:
+    for d in cores:
         cd = np.array(ds.digits, dtype=np.int64)[:, None] * d
         stack = [(1, zero, zero)]  # (S, q, e) of nodes with P*d = q*S + e
         while stack:
@@ -399,12 +395,38 @@ def enumerate_members(
                 stack.append((S, q[keep], e[keep]))
             else:  # S > d: one numerator each, and r/d is its tail past P
                 a = q + (e > 0)
-                r = (a - q) * S - e
-                a = a[_walk(ds.base, ds.digits, r, np.full_like(a, d))]
-                a = a[np.gcd(a, d) == 1]
-                rows.append(np.stack([a, np.full_like(a, d)], axis=1))
-    # a value on two nodes' edge comes twice, and _by_value keeps one
-    yield from _witness_rows(ds, _by_value(np.concatenate(rows)))
+                rows = np.stack([a, np.full_like(a, d), S * (e > 0) - e])
+                yield rows[:, (0 < a) & (a < d)]
+
+
+def enumerate_members(
+    ds: DigitSet, denominators: Iterable[int]
+) -> Iterator[tuple[int, int, list, list]]:
+    """(num, den, preperiod, period) of every reduced member num/den over the
+    given distinct denominators, value-ascending, as _witness_rows yields it:
+    the leaves of each d's core go through the sieve's leaf walk and orbit
+    build (module docstring)."""
+    import numpy as np
+
+    b = ds.base
+    dens, top = list(denominators), {}  # core -> its largest requested d
+    for d in dens:
+        if not 1 <= d <= 2**62 // b:
+            raise PreconditionError(f"denominator {d} outside 1..2^62/base")
+        core = d
+        while (g := gcd(core, b)) > 1:
+            core //= g
+        top[core] = max(top.get(core, 1), d)
+    if len(set(dens)) != len(dens):
+        raise PreconditionError("duplicate denominator")
+    reps = _leaf_members(b, ds.digits, _core_leaves(ds, sorted(top.keys() - {1})))
+    reps = reps[np.gcd(reps[:, 0], reps[:, 1]) == 1]
+    bound = np.array([top[d] for d in reps[:, 1].tolist()], dtype=np.int64)
+    rows = _orbits(b, ds.digits, top.get(1, 1), np.column_stack([reps, bound]))
+    # np.isin would sort through np.unique, which imports numpy.ma
+    want = np.sort(np.array([0, *dens], dtype=np.int64))  # 0 is below every den
+    rows = rows[want[np.searchsorted(want, rows[:, 1], "right") - 1] == rows[:, 1]]
+    yield from _witness_rows(ds, _by_value(rows))
 
 
 def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:

@@ -235,7 +235,9 @@ def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
         members = cantor._witness_rows(ds, rows)
     elif args.den_form is not None:
         head, sep, tail = args.den_form.partition("^")
-        if sep != "^" or tail != "k" or not head.isdigit() or int(head) < 2:
+        # not str.isdigit alone: int() refuses '²' and heads past 4300 digits
+        plain = head.isascii() and head.isdigit() and len(head) < 20
+        if sep != "^" or tail != "k" or not plain or int(head) < 2:
             raise PreconditionError(f"bad --den-form {args.den_form!r}, want e.g. 2^k")
         if args.max_exp < 0:
             raise PreconditionError(f"--max-exp must be >= 0, got {args.max_exp}")
@@ -418,9 +420,10 @@ def _verify_lattice_exclusion(rng: random.Random, trials: int) -> None:
 
 
 def _verify_sieve_certificate(rng: random.Random, trials: int) -> None:
-    # two routes to the members with S-smooth d <= T: the sieve's digit tree
-    # over every d, and the certificate's per-denominator descent over the d
-    # its lattice exclusion keeps
+    # two routes to the members with S-smooth d <= T that differ only in
+    # their descent, the sieve's digit tree over every d and the certificate's
+    # per-denominator tree over the d its lattice exclusion keeps: both end
+    # in the sieve's leaf walk and orbit build
     for _ in range(trials):
         S, cert = _seeded_certificate(rng)
         ds = cert.digit_set

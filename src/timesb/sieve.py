@@ -58,10 +58,13 @@ Fredricksen-Kessler-Maiorana period p (P = 0 and p = 1 at the root): digit c
 at position t+1 is allowed iff c >= a[t+1-p] = P // base^(p-1) % base, and
 c > a[t+1-p] sets p = t+1. This subsumes the reflection of a symmetric set:
 base 5 {1,3} finds 3/4 = 0.333... on the all-3 path. A leaf candidate with
-den > 1 prime to the base lies strictly inside its leaf and is walked from
-r = num over r -> base*r mod den, digits base*r // den. It is dropped at its
-first bad digit or remainder below num, and kept as its cycle's
-representative when r comes back to num. Other candidates are skipped.
+den > 1 prime to the base lies strictly inside its leaf; the leaf walk
+(_leaf_members) starts it at r = num, steps r -> base*r mod den (digits
+base*r // den), drops it at its first bad digit or remainder below num and
+keeps it as its cycle's representative when r comes back to its start.
+Other candidates are skipped. `timesb.cantor.enumerate_members` is the
+walk's and the orbit build's second caller, its rows starting at their
+tails past a good prefix.
 
 Every member comes from the representatives. Each gives its cycle's points
 r/den with their predecessor digits c (base*r' = c*den + r for the point
@@ -71,10 +74,11 @@ m >= 1: its tail past m digits is such a point y, entered by a digit other
 than y's predecessor. So level 1 is (c + y)/base over the allowed c but
 y's predecessor digit, level m+1 is (c + z)/base over every allowed c and
 z in level m, each reduced by its gcd. For z = n/q that gcd divides base
-and is prime to q, so den never shrinks and a row over T is dropped with
-everything built from it; no power of the base is assumed, which composite
-bases need. A terminating value, ..c000.. and ..(c-1)(b-1)(b-1).., may come
-from both seeds, and the value sort (_by_value) keeps one row.
+and is prime to q, so den never shrinks and a row over its cycle's bound
+(T here) is dropped with everything built from it; no power of the base is
+assumed, which composite bases need. A terminating value, ..c000.. and
+..(c-1)(b-1)(b-1).., may come from both seeds, and the value sort
+(_by_value) keeps one row.
 
 The tree is walked depth first over blocks of columns under a fixed budget.
 A task pops a block, expands at most _BUDGET // k of its columns (k digits)
@@ -92,14 +96,14 @@ rest, and the final sort makes the output the same for every split.
 
 numpy is imported by the functions that use it, on their first call, and
 the process pool only when jobs > 1: importing this module loads neither,
-so the commands that never reach the sieve or the walk start without them.
+so the commands that never reach the vectorised code start without them.
 """
 
 from __future__ import annotations
 
 import os
 from functools import cmp_to_key, partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InvariantError, PreconditionError
 
@@ -198,73 +202,46 @@ def _descend(state: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return a * final[4] + final[5], den, final
 
 
-def _walk(base: int, digits: Sequence[int], r: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Member mask of int64 rows (r, den), 0 <= r <= den, each the value
-    r/den of the digits past a good prefix: the per-denominator leaves of
-    `timesb.cantor.enumerate_members`.
-
-    Each round steps every live row and drops it at its first bad digit. A
-    row reaching r = 0 after digit c is a member iff c and 0 are allowed
-    (greedy) or c >= 1 and c-1 and base-1 are (dual). Other rows are members
-    once r returns to a checkpoint reset after steps 1, 2, 4, 8, ... (Brent):
-    about preperiod + 2 * cycle length rounds. The value 1 (r = den) is a
-    member iff base-1 is allowed.
-    """
-    import numpy as np
-
-    good = np.zeros(base, dtype=bool)
-    good[list(digits)] = True
-    one = r == den
-    row = np.flatnonzero(~one)
-    kept = [np.flatnonzero(one) if good[base - 1] else row[:0]]
-    d, r = den[row], r[row]
-    check = r
-    step, reset = 0, 1
-    while row.size:
-        c, r = np.divmod(base * r, d)
-        ok = good[c]
-        end = r == 0
-        if end.any():
-            c = c[end]
-            dual = (c >= 1) & good[c - 1] & good[base - 1]
-            kept.append(row[end][ok[end] & good[0] | dual])
-            ok &= ~end
-        back = ok & (r == check)
-        kept.append(row[back])
-        live = np.flatnonzero(ok ^ back)
-        row, d, r, check = row[live], d[live], r[live], check[live]
-        step += 1
-        if step == reset:
-            check, reset = r, 2 * reset
-    hit = np.zeros(den.size, dtype=bool)
-    hit[np.concatenate(kept)] = True
-    return hit
-
-
 def _leaf_members(
-    base: int, digits: tuple[int, ...], nums: list, dens: list
+    base: int, digits: tuple[int, ...], blocks: Iterable[np.ndarray]
 ) -> np.ndarray:
-    """The (num, den) rows of the cycle representatives among the leaf
-    candidates, given as lists of num and den blocks: den > 1 prime to the
-    base, every digit good, and num the least remainder of its cycle."""
+    """The (num, den) rows of the cycle representatives among leaf rows given
+    as int64 blocks of rows num, den, start: den > 1 prime to the base and
+    start/den on num/den's cycle. A row walks r -> base*r mod den from its
+    start, is dropped at its first bad digit or remainder below num, and is
+    kept when r comes back to its start. The sieve starts its candidates at
+    num, `timesb.cantor.enumerate_members` at their tails past a good prefix.
+    Rows are walked together each time at least _BUDGET are held, and once
+    at the end."""
     import numpy as np
 
-    num, den = np.concatenate(nums), np.concatenate(dens)
     good = np.zeros(base, dtype=bool)
     good[list(digits)] = True
-    row = np.flatnonzero((den > 1) & (np.gcd(den, base) == 1))
-    r = num[row]
-    kept = [row[:0]]
-    while row.size:
-        c, r = np.divmod(base * r, den[row])
-        n = num[row]
-        ok = good[c] & (r >= n)
-        back = ok & (r == n)
-        kept.append(row[back])
-        live = np.flatnonzero(ok ^ back)
-        row, r = row[live], r[live]
-    hit = np.concatenate(kept)
-    return np.stack([num[hit], den[hit]], axis=1)
+
+    def walk(held: list) -> np.ndarray:
+        num, den, start = np.concatenate(held, axis=1)
+        row, r = np.arange(num.size), start
+        kept = [row[:0]]
+        while row.size:
+            c, r = np.divmod(base * r, den[row])
+            ok = good[c] & (r >= num[row])
+            back = ok & (r == start[row])
+            kept.append(row[back])
+            live = np.flatnonzero(ok ^ back)
+            row, r = row[live], r[live]
+        hit = np.concatenate(kept)
+        return np.stack([num[hit], den[hit]], axis=1)
+
+    found, held, size = [np.empty((0, 2), dtype=np.int64)], [], 0
+    for block in blocks:
+        held.append(block)
+        size += block.shape[1]
+        if size >= _BUDGET:
+            found.append(walk(held))
+            held, size = [], 0
+    if held:
+        found.append(walk(held))
+    return np.concatenate(found)
 
 
 def _descend_task(
@@ -275,59 +252,53 @@ def _descend_task(
     blocks of columns (see the module docstring)."""
     import numpy as np
 
-    step = max(1, _BUDGET // len(digits))  # columns expanded per call
-    stack = [(depth, state)]
-    nums, dens, found = [], [], []
-    held = 0
-    while stack:
-        depth, state = stack.pop()
-        if state.shape[1] > step:
-            # a copy: a view of the rest would pin the whole block
-            stack.append((depth, state[:, step:].copy()))
-            state = state[:, :step]
-        num, den, state = _descend(_children(state, digits, base, depth), T)
-        if depth + 1 < L:
-            if state.shape[1]:
-                stack.append((depth + 1, state))
-            continue
-        nums.append(num)
-        dens.append(den)
-        held += num.size
-        if held >= _BUDGET:
-            found.append(_leaf_members(base, digits, nums, dens))
-            nums, dens, held = [], [], 0
-    if nums:
-        found.append(_leaf_members(base, digits, nums, dens))
-    return np.concatenate(found) if found else np.empty((0, 2), np.int64)
+    def leaves(stack: list) -> Iterator[np.ndarray]:
+        step = max(1, _BUDGET // len(digits))  # columns expanded per call
+        while stack:
+            depth, state = stack.pop()
+            if state.shape[1] > step:
+                # a copy: a view of the rest would pin the whole block
+                stack.append((depth, state[:, step:].copy()))
+                state = state[:, :step]
+            num, den, state = _descend(_children(state, digits, base, depth), T)
+            if depth + 1 < L:
+                if state.shape[1]:
+                    stack.append((depth + 1, state))
+                continue
+            keep = (den > 1) & (np.gcd(den, base) == 1)
+            yield np.stack([num[keep], den[keep], num[keep]])
+
+    return _leaf_members(base, digits, leaves([(depth, state)]))
 
 
 def _orbits(
     base: int, digits: tuple[int, ...], T: int, reps: np.ndarray
 ) -> np.ndarray:
-    """The (num, den) rows of every member with den <= T, unordered and
-    possibly repeated: the cycles of the representatives reps, the seeds and
-    the preperiodic levels built over them (see the module docstring)."""
+    """The (num, den) rows, unordered and possibly repeated, of the cycles of
+    the representatives reps (int64 rows num, den, bound), the seeds and the
+    preperiodic levels over them (see the module docstring), each level row
+    kept while its den is within its cycle's bound, or T for the seeds'."""
     import numpy as np
 
-    seeds = np.array([[0, 1, 0], [1, 1, base - 1]], dtype=np.int64)
+    seeds = np.array([[0, 1, 0, T], [1, 1, base - 1, T]], dtype=np.int64)
     points = [seeds[np.isin(seeds[:, 2], digits)]]
-    first, d = reps.T
+    first, d, top = reps.T
     r = first
     while r.size:
         pred, r = np.divmod(base * r, d)
-        points.append(np.stack([r, d, pred], axis=1))
+        points.append(np.stack([r, d, pred, top], axis=1))
         live = np.flatnonzero(r != first)
-        first, d, r = first[live], d[live], r[live]
-    n, q, pred = np.concatenate(points).T
+        first, d, r, top = first[live], d[live], r[live], top[live]
+    n, q, pred, top = np.concatenate(points).T
     c = np.array(digits, dtype=np.int64)[:, None]
     rows = [np.stack([n, q], axis=1)]
     keep = c != pred  # level 1 leaves the cycle, so its digit is not pred
     while n.size:
-        n, q = np.broadcast_arrays(c * q + n, base * q)
+        n, q, top = np.broadcast_arrays(c * q + n, base * q, top)
         g = np.gcd(n, base)
-        keep &= q // g <= T
+        keep &= q // g <= top
         g = g[keep]
-        n, q = n[keep] // g, q[keep] // g
+        n, q, top = n[keep] // g, q[keep] // g, top[keep]
         rows.append(np.stack([n, q], axis=1))
         keep = True
     return np.concatenate(rows)
@@ -378,7 +349,9 @@ def members_up_to(
                 results = list(pool.map(run, tasks, chunksize=1))
         except BrokenProcessPool as exc:
             raise InvariantError(f"a worker process died: {exc}") from exc
-    return _by_value(_orbits(base, digits, T, np.concatenate(results)))
+    reps = np.concatenate(results)
+    reps = np.column_stack([reps, np.full(len(reps), T)])
+    return _by_value(_orbits(base, digits, T, reps))
 
 
 def _by_value(rows: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze golden values.
 
 Nothing here imports the package under test. Membership is decided by a
-mask-doubling walk over residues or along Fraction orbits, the members up to
+mask-doubling walk over residues, a Brent walk over (r, den) rows or along
+Fraction orbits, the members up to
 a denominator by the whole-tree interval sieve, prime data comes from a smallest-prime-
 factor sieve, and the constants are evaluated with the same expression
 shapes the package documents (float64, natural log), so agreement is exact.
@@ -131,6 +132,47 @@ def witness_oracle(base: int, digits, x: Fraction):
         if good.issuperset(head + [base - 1]):
             return tuple(head), (base - 1,)
     return None
+
+
+def unit_walk_mask(base: int, digits, r: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Member mask of int64 rows (r, den), 0 <= r <= den: is r/den in
+    C(base, digits)? A vectorised walk with no digit tree, no cycle
+    representative and no orbit build.
+
+    Each round steps every live row and drops it at its first bad digit. A
+    row reaching r = 0 after digit c is a member iff c and 0 are allowed
+    (greedy) or c >= 1 and c-1 and base-1 are (dual). Other rows are members
+    once r returns to a checkpoint reset after steps 1, 2, 4, 8, ... (Brent):
+    about preperiod + 2 * cycle length rounds. The value 1 (r = den) is a
+    member iff base-1 is allowed.
+    """
+    good = np.zeros(base, dtype=bool)
+    good[list(digits)] = True
+    one = r == den
+    row = np.flatnonzero(~one)
+    kept = [np.flatnonzero(one) if good[base - 1] else row[:0]]
+    d, r = den[row], r[row]
+    check = r
+    step, reset = 0, 1
+    while row.size:
+        c, r = np.divmod(base * r, d)
+        ok = good[c]
+        end = r == 0
+        if end.any():
+            c = c[end]
+            dual = (c >= 1) & good[c - 1] & good[base - 1]
+            kept.append(row[end][ok[end] & good[0] | dual])
+            ok &= ~end
+        back = ok & (r == check)
+        kept.append(row[back])
+        live = np.flatnonzero(ok ^ back)
+        row, d, r, check = row[live], d[live], r[live], check[live]
+        step += 1
+        if step == reset:
+            check, reset = r, 2 * reset
+    hit = np.zeros(den.size, dtype=bool)
+    hit[np.concatenate(kept)] = True
+    return hit
 
 
 def is_prenecklace(word) -> bool:

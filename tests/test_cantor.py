@@ -27,7 +27,13 @@ from timesb.numtheory import mult_order_bruteforce, vp
 from timesb.orders import build_profile, split_denominator
 from timesb.sieve import members_up_to
 
-from oracles import coprime_part, orbit_oracle, witness_oracle
+from oracles import (
+    coprime_part,
+    orbit_oracle,
+    unit_walk_mask,
+    whole_tree_members,
+    witness_oracle,
+)
 
 F = Fraction
 
@@ -276,30 +282,67 @@ def test_enumerate_members_walk_matches_oracle(base):
     dens += [base * m for m in rng.sample(range(2, 40), 6) if base * m not in dens]
     dens += rng.sample(coprime, 6)
     rng.shuffle(dens)
-    for digits in (
-        tuple(range(1, base)),
-        tuple(range(base - 1)),
-        tuple(sorted(rng.sample(range(base), rng.randrange(1, base)))),
-    ):
+    cases = [
+        (tuple(range(1, base)), dens),
+        (tuple(range(base - 1)), dens),
+        (tuple(sorted(rng.sample(range(base), rng.randrange(1, base)))), dens),
+    ]
+    if base == 6:
+        # a mixed list on a composite base: the cores are 1 and 35
+        # (210 = 6*35), and the level bound 216 lets the levels over 35
+        # reach 210
+        cases.append(((0, 1, 5), [12, 35, 72, 210, 216]))
+    for digits, dens in cases:
         got, want = _walk_and_oracle(DigitSet(base, digits), dens)
         assert got == want, digits
 
 
 def test_enumerate_members_many_units_match_oracle():
     # 27027 = 3^3*7*11*13 divides 10^6 - 1, so each a/27027 repeats the six
-    # digits of 37*a; it has thousands of units and some are members
-    got, want = _walk_and_oracle(DigitSet(10, (1, 3, 5, 7, 9)), [27027])
+    # digits of 37*a; it has thousands of units and some are members. 3, 30
+    # and 300 share the core 3, built into levels up to 300
+    got, want = _walk_and_oracle(DigitSet(10, (1, 3, 5, 7, 9)), [3, 30, 300, 27027])
     assert got == want and len(got) > 0
+
+
+def test_enumerate_members_empty_list():
+    assert list(enumerate_members(C_MIDDLE, [])) == []
+
+
+@pytest.mark.parametrize(
+    "dens, want",
+    [
+        # every d prime to the base is its own core
+        ([1, 2, 4, 5, 7, 10], [(0, 1), (1, 10), (1, 4), (3, 10), (7, 10), (3, 4), (9, 10), (1, 1)]),
+        # 2*3^12 has the core 2, over which there is no member, and no d
+        # asks for the core 1 of the seeds
+        ([4, 2 * 3**12], [(1, 4), (3, 4)]),
+    ],
+)
+def test_enumerate_members_builds_no_level_unasked(monkeypatch, dens, want):
+    # each cycle's levels are bounded by its core's largest requested d, and
+    # the seeds' by the core 1's, so here no preperiodic row is built
+    real = cantor._orbits
+    bounds = []
+
+    def spy(base, digits, T, reps):
+        bounds.append(T)
+        assert (reps[:, 2] == reps[:, 1]).all()
+        return real(base, digits, T, reps)
+
+    monkeypatch.setattr(cantor, "_orbits", spy)
+    got = [(a, d) for a, d, _, _ in enumerate_members(C_MIDDLE, dens)]
+    assert bounds == [1] and got == want
 
 
 def _unit_walk(ds, dens):
     """Every reduced member a/d over dens, ascending: each unit a of d settled
-    by the sieve's walk from r = a, with no digit tree."""
+    by the oracle's walk from r = a, with no digit tree."""
     out = []
     for d in dens:
         a = np.arange(d + 1, dtype=np.int64)
         a = a[np.gcd(a, d) == 1]
-        hit = sieve._walk(ds.base, ds.digits, a, np.full_like(a, d))
+        hit = unit_walk_mask(ds.base, ds.digits, a, np.full_like(a, d))
         out += [F(int(n), d) for n in a[hit]]
     return sorted(out)
 
@@ -457,6 +500,20 @@ def test_lattice_exclusion_matches_full_walk():
         excluded = set(dens) - set(cert.walked_denominators)
         assert len(excluded) == cert.denominators_excluded
         assert not any(d in excluded for _, d, _, _ in full)
+
+
+def test_certificate_matches_whole_tree():
+    # a second route to the certify list that shares neither the leaf walk
+    # nor the orbit build: the oracle's whole-tree sieve up to the largest
+    # member denominator, kept to S-smooth d
+    S = (2, 5, 7, 11, 13, 17)
+    cert = enumerate_s_integers(C_MIDDLE, build_profile(3, S))
+    assert len(cert.members) == 130
+    top = max(d for _, d, _, _ in cert.members)
+    assert top == 3640
+    smooth = set(smooth_denominators(S, top))
+    want = [[a, d] for a, d in whole_tree_members(3, (0, 2), top) if d in smooth]
+    assert [[a, d] for a, d, _, _ in cert.members] == want
 
 
 @pytest.mark.parametrize(

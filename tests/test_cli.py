@@ -292,6 +292,10 @@ def test_enumerate_sources_are_exclusive(capsys):
             ("--den-form", "2^k", "--max-exp", "1000000000000"),
             "denominator 2305843009213693952 outside",
         ),
+        # str.isdigit passes a superscript two and int() refuses it; int()
+        # also refuses a head past its 4300-digit limit
+        (("--den-form", "²^k", "--max-exp", "3"), "bad --den-form"),
+        (("--den-form", "9" * 5000 + "^k", "--max-exp", "3"), "bad --den-form"),
     ],
 )
 def test_enumerate_rejects_bad_sources(capsys, argv, message):

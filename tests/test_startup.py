@@ -114,11 +114,13 @@ def test_count_at_one_job_imports_no_pool():
     [
         "count --base 3 --digits 0,2 --max-den 500 --jobs 1",
         "enumerate --base 3 --digits 0,2 --max-den 500 --jobs 1",
+        "certify --base 3 --digits 0,2 --primes 2,7,11,13",
     ],
 )
 def test_sieve_commands_load_no_numpy_ma(argv):
-    # the sieve's final dedup and the enumerate witnesses stay clear of
-    # np.unique, which imports numpy.ma on its first call
+    # the sieve's final dedup, the enumerate witnesses and certify's
+    # requested-den filter stay clear of np.unique, which imports numpy.ma on
+    # its first call
     assert loaded_modules(*argv.split(), watch=("numpy", "numpy.ma")) == ["numpy"]
 
 
