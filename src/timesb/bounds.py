@@ -3,9 +3,10 @@
 A fraction a/d can only belong to a digit-restricted set that misses an
 epsilon-ball if d is arithmetically special: its largest prime factor P(d)
 and its radical rad(d) must both be large relative to d. Each report here
-records, for one member, the constant that would turn the relevant
-inequality into an equality; aggregating minima over an enumeration gives
-the largest constants consistent with the data.
+records, for one member, the constants that would turn the relevant
+inequalities into equalities; they depend on d alone, so a stream of members
+computes them once per distinct d.  Aggregating minima over an enumeration
+gives the largest constants consistent with the data.
 
 Nothing here certifies a constant. Logarithms are natural, evaluated in
 double precision, and comparisons allow 1e-9 relative tolerance; all the
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log, sqrt
+from functools import cached_property
+from math import gcd, log, sqrt
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import InvariantError, PreconditionError
@@ -53,20 +55,20 @@ class BoundReport:
     c_emp_rad: float
     c_emp_P: float
 
-    def csv_row(self, digits: tuple[int, ...]) -> str:
-        cells = (
-            self.base,
-            ";".join(str(d) for d in digits),
-            self.num,
-            self.den,
-            self.largest_prime,
-            self.radical,
-            self.branch,
-            repr(self.K_emp),
-            repr(self.c_emp_rad),
-            repr(self.c_emp_P),
+    @cached_property
+    def den_cells(self) -> str:
+        """The CSV row's cells from den on, which depend on den alone."""
+        floats = ",".join(map(repr, (self.K_emp, self.c_emp_rad, self.c_emp_P)))
+        return f"{self.den},{self.largest_prime},{self.radical},{self.branch},{floats}"
+
+    @cached_property
+    def json_row(self) -> str:
+        """The compact sorted-key JSON row, with %d where the num "a" goes."""
+        return (
+            f'{{"K_emp":{self.K_emp!r},"P":{self.largest_prime},"a":%d,'
+            f'"branch":"{self.branch}","c_emp_P":{self.c_emp_P!r},'
+            f'"c_emp_rad":{self.c_emp_rad!r},"d":{self.den},"rad":{self.radical}}}'
         )
-        return ",".join(str(c) for c in cells)
 
 
 BOUNDS_CSV_HEADER = "b,digits,a,d,P,rad,branch,K_emp,c_emp_rad,c_emp_P"
@@ -128,33 +130,26 @@ def _report(base: int, epsilon: Fraction, a: int, d: int, P: int, rad: int) -> B
     )
 
 
-def member_bound_reports(base: int, epsilon: Fraction, rows: np.ndarray) -> list[BoundReport]:
-    """bound_report of each member row (num, den), in row order, over the
-    rows with den > 1 coprime to the base; P(den) and rad(den) come from one
-    int32 smallest-prime-factor table up to the largest den."""
+def member_bound_reports(
+    base: int, epsilon: Fraction, rows: np.ndarray
+) -> list[tuple[int, BoundReport]]:
+    """(num, report) of each member row (num, den), in row order, over the
+    rows with den > 1 coprime to the base and epsilon*den >= 3: one report
+    per den, made as bound_report makes it, with the den's first num."""
     import numpy as np
 
     rows = rows[(rows[:, 1] > 1) & (np.gcd(rows[:, 1], base) == 1)]
     if rows.size and epsilon <= 0:
         raise PreconditionError(f"epsilon must be positive, got {frac_str(epsilon)}")
-    n = int(rows[:, 1].max(initial=1))
-    spf = np.arange(n + 1, dtype=np.int32)
-    for p in range(2, isqrt(n) + 1):
-        if spf[p] == p:  # unmarked multiples still hold themselves, all > p
-            block = spf[p * p :: p]
-            np.minimum(block, p, out=block)
-    reports = []
-    for a, d in rows.tolist():
-        if epsilon.numerator * d < 3 * epsilon.denominator:
-            continue
-        P, rad, m = 1, 1, d
-        while m > 1:  # smallest prime factors come out ascending
-            P = int(spf[m])
-            rad *= P
-            while m % P == 0:
-                m //= P
-        reports.append(_report(base, epsilon, a, d, P, rad))
-    return reports
+    rows = rows.tolist()
+    # each den's first num, as the last write wins (np.unique imports numpy.ma)
+    first = {d: a for a, d in reversed(rows)}
+    reports = {
+        d: _report(base, epsilon, a, d, largest_prime(d), radical(d))
+        for d, a in first.items()
+        if epsilon.numerator * d >= 3 * epsilon.denominator
+    }
+    return [(a, reports[d]) for a, d in rows if d in reports]
 
 
 def aggregate_constants(reports: Iterable[BoundReport]) -> dict:

@@ -40,12 +40,13 @@ the value sort keeps one of a repeated row.
 
 A member's witness is its eventually periodic expansion.  For a/d reduced
 the preperiod mu is fixed by the part of d shared with b, and the period is
-the cycle of r -> b*r mod d.  _witness_rows walks chunks of (num, den) int
-rows in lock-step into one flat digit array, where the value 1 and the dual
-of a terminating value are written like any other witness, and yields the
-one member record (num, den, preperiod, period) that enumerate, certify and
-enumerate_members print; _witness_digits walks one fraction in plain
-integers (member and the tests' oracles) and gives the same digits.
+the cycle of r -> b*r mod d.  _witness_chunks walks chunks of (num, den)
+int rows in lock-step into one flat digit array with row offsets, where the
+value 1 and the dual of a terminating value are written like any other
+witness; enumerate writes its JSON lines from each chunk's arrays, and
+enumerate_members reads certify's records (num, den, preperiod, period) off
+them.  _witness_digits walks one fraction in plain integers (member and the
+tests' oracles) and gives the same digits.
 """
 
 from __future__ import annotations
@@ -279,12 +280,11 @@ def _witness_digits(ds: DigitSet, num: int, den: int) -> tuple[list, list] | Non
     return None
 
 
-def _witness_rows(
-    ds: DigitSet, rows: np.ndarray
-) -> Iterator[tuple[int, int, list, list]]:
-    """(num, den, preperiod, period) of every reduced member row (num, den)
-    of int64 rows, in row order: _witness_digits over one vectorised walk
-    per chunk of rows.
+def _witness_chunks(ds: DigitSet, rows: np.ndarray) -> Iterator[tuple]:
+    """The witnesses of every reduced member row (num, den) of int64 rows,
+    in row order, a chunk (num, den, digits, off, cut) of rows at a time:
+    row i's preperiod is digits[off[i]:cut[i]] and its period
+    digits[cut[i]:off[i + 1]], by _witness_digits over one vectorised walk.
 
     The preperiod mu counts the rounds of d //= gcd(d, b) until the gcd is
     1.  All rows walk r -> b*r mod den in lock-step from r = num, and a row
@@ -351,10 +351,7 @@ def _witness_rows(
             )
         flat[tip[dual]] -= 1
         flat[cut[dual]] = b - 1
-        digits = flat.tolist()
-        cols = (num, den, head, cut, off[1:])
-        for a, n, o, k, e in zip(*(col.tolist() for col in cols)):
-            yield a, n, digits[o:k], digits[k:e]
+        yield num, den, flat[:-1], off, cut
 
 
 def member_witness(ds: DigitSet, x: Fraction) -> ExpansionInfo | None:
@@ -402,10 +399,19 @@ def _core_leaves(ds: DigitSet, cores: Iterable[int]) -> Iterator[np.ndarray]:
 def enumerate_members(
     ds: DigitSet, denominators: Iterable[int]
 ) -> Iterator[tuple[int, int, list, list]]:
-    """(num, den, preperiod, period) of every reduced member num/den over the
-    given distinct denominators, value-ascending, as _witness_rows yields it:
-    the leaves of each d's core go through the sieve's leaf walk and orbit
-    build (module docstring)."""
+    """The member record (num, den, preperiod, period) of every reduced
+    member num/den over the given distinct denominators, value-ascending."""
+    rows = _member_rows(ds, denominators)
+    for num, den, digits, off, cut in _witness_chunks(ds, rows):
+        digits, cols = digits.tolist(), (num, den, off[:-1], cut, off[1:])
+        for a, n, o, k, e in zip(*(col.tolist() for col in cols)):
+            yield a, n, digits[o:k], digits[k:e]
+
+
+def _member_rows(ds: DigitSet, denominators: Iterable[int]) -> np.ndarray:
+    """Int64 rows (num, den) of every reduced member over the given distinct
+    denominators, value-ascending: the leaves of each d's core go through
+    the sieve's leaf walk and orbit build (module docstring)."""
     import numpy as np
 
     b = ds.base
@@ -426,7 +432,7 @@ def enumerate_members(
     # np.isin would sort through np.unique, which imports numpy.ma
     want = np.sort(np.array([0, *dens], dtype=np.int64))  # 0 is below every den
     rows = rows[want[np.searchsorted(want, rows[:, 1], "right") - 1] == rows[:, 1]]
-    yield from _witness_rows(ds, _by_value(rows))
+    return _by_value(rows)
 
 
 def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:

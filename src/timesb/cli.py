@@ -75,8 +75,12 @@ def _default_jobs() -> int:
         return 1
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_dumps(obj))
 
 
 def _progress(msg: str) -> None:
@@ -211,16 +215,27 @@ def cmd_expand(args) -> int:
 _DEN_FORM_HELP = "denominator family like 2^k (with --max-exp bounding k)"
 
 
-def _json_line(num: int, den: int, pre, period) -> str:
-    # the bytes of _emit's sorted-key JSON, written directly for int fields
-    return (
-        f'{{"den":{den},"num":{num},"period":[{",".join(map(str, period))}],'
-        f'"preperiod":[{",".join(map(str, pre))}]}}\n'
-    )
+def _json_lines(ds: cantor.DigitSet, chunk: tuple) -> str:
+    """_emit's sorted-key JSON line of every row of a cantor._witness_chunks
+    chunk: the digits' text ",c,c,.." is written once, and each row's lists
+    are slices of it (past their first comma, so an empty list is "")."""
+    import numpy as np
+
+    num, den, digits, off, cut = chunk
+    glyphs = [f",{c}".encode() for c in ds.digits]
+    at = np.searchsorted(np.array(ds.digits), digits)
+    raw = np.array(glyphs)[at].view(np.uint8)  # NUL-padded to the widest
+    text = raw[raw != 0].tobytes().decode()
+    char = np.concatenate([[0], np.cumsum(np.array([len(g) for g in glyphs])[at])])
+    cols = (num, den, char[off[:-1]] + 1, char[cut], char[off[1:]])
+    return "".join([
+        f'{{"den":{n},"num":{a},"period":[{text[k + 1 : e]}],"preperiod":[{text[o:k]}]}}\n'
+        for a, n, o, k, e in zip(*(col.tolist() for col in cols))
+    ])
 
 
 def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
-    """The JSON line of every member, value-ascending."""
+    """The JSON lines of every member, value-ascending, one string per chunk."""
     sources = (args.den_form, args.max_den, args.denominators)
     if sum(source is not None for source in sources) != 1:
         raise PreconditionError(
@@ -232,7 +247,6 @@ def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
         if args.max_den >= 10**5:
             _progress(f"enumerating members with denominators up to {args.max_den}")
         rows = sieve.members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
-        members = cantor._witness_rows(ds, rows)
     elif args.den_form is not None:
         head, sep, tail = args.den_form.partition("^")
         # not str.isdigit alone: int() refuses '²' and heads past 4300 digits
@@ -241,14 +255,14 @@ def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
             raise PreconditionError(f"bad --den-form {args.den_form!r}, want e.g. 2^k")
         if args.max_exp < 0:
             raise PreconditionError(f"--max-exp must be >= 0, got {args.max_exp}")
-        # head^62 >= 2^62 exceeds enumerate_members' 2^62/b: a larger k adds nothing
+        # head^62 >= 2^62 exceeds _member_rows' 2^62/b: a larger k adds nothing
         dens = [int(head) ** k for k in range(min(args.max_exp, 62) + 1)]
-        members = cantor.enumerate_members(ds, dens)
+        rows = cantor._member_rows(ds, dens)
     elif not args.denominators:
         raise PreconditionError("--denominators lists no denominator")
     else:
-        members = cantor.enumerate_members(ds, args.denominators)
-    return [_json_line(*m) for m in members]
+        rows = cantor._member_rows(ds, args.denominators)
+    return [_json_lines(ds, chunk) for chunk in cantor._witness_chunks(ds, rows)]
 
 
 def cmd_enumerate(args) -> int:
@@ -290,7 +304,7 @@ def cmd_bounds(args) -> int:
         _progress(f"enumerating members up to {args.max_den} for bound reports")
     rows = sieve.members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
     reports = bounds.member_bound_reports(ds.base, eps, rows)
-    summary = bounds.aggregate_constants(reports) if reports else {"count": 0}
+    summary = bounds.aggregate_constants(r for _, r in reports) if reports else {"count": 0}
     summary.update(
         {
             "base": ds.base,
@@ -301,28 +315,12 @@ def cmd_bounds(args) -> int:
         }
     )
     if args.format == "json":
-        _emit(
-            {
-                "rows": [
-                    {
-                        "a": r.num,
-                        "d": r.den,
-                        "P": r.largest_prime,
-                        "rad": r.radical,
-                        "branch": r.branch,
-                        "K_emp": r.K_emp,
-                        "c_emp_rad": r.c_emp_rad,
-                        "c_emp_P": r.c_emp_P,
-                    }
-                    for r in reports
-                ],
-                "summary": summary,
-            }
-        )
+        rows = ",".join([r.json_row % a for a, r in reports])
+        print(f'{{"rows":[{rows}],"summary":{_dumps(summary)}}}')
         return 0
+    head = f"{ds.base},{';'.join(map(str, ds.digits))},"
     print(bounds.BOUNDS_CSV_HEADER)
-    for r in reports:
-        print(r.csv_row(ds.digits))
+    sys.stdout.writelines([f"{head}{a},{r.den_cells}\n" for a, r in reports])
     print()
     _emit(summary)
     return 0

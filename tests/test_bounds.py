@@ -1,5 +1,6 @@
 """Empirical constant reports and the growth threshold checks."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, log, prod, sqrt
 
@@ -60,8 +61,9 @@ def test_rejections():
 
 
 def test_csv_row_shape():
+    # the cells from d on: the CLI writes b, digits and a in front of them
     r = bound_report(3, Fraction(1, 6), Fraction(1, 320))
-    row = r.csv_row((0, 2))
+    row = f"3,0;2,1,{r.den_cells}"
     assert row.startswith("3,0;2,1,320,5,10,P>b,")
     assert len(row.split(",")) == len(BOUNDS_CSV_HEADER.split(","))
 
@@ -129,13 +131,13 @@ def test_growth_check_property(data):
     assert ok, rows
 
 
-def test_spf_table_prime_data_matches_bruteforce():
+def test_member_bound_reports_prime_data_matches_bruteforce():
     # the prime base 20011 is coprime to every d <= 2*10^4, and epsilon = 1
     # keeps every d >= 3 (log log d needs d > e), so the stream reports P(d)
     # and rad(d) for all of them
     assert oracles.factor_bruteforce(20011) == ((20011, 1),)
     rows = np.array([(1, d) for d in range(1, 20_001)], dtype=np.int64)
-    reports = member_bound_reports(20011, Fraction(1), rows)
+    reports = [r for _, r in member_bound_reports(20011, Fraction(1), rows)]
     assert [r.den for r in reports] == list(range(3, 20_001))
     for r in reports:
         factors = oracles.factor_bruteforce(r.den)
@@ -167,7 +169,10 @@ def test_member_bound_reports_match_bound_report(base, digits, T, eps):
     ]
     want = [r for r in want if r is not None]
     rows = np.array([(x.numerator, x.denominator) for x in members], dtype=np.int64)
-    assert member_bound_reports(base, eps, rows) == want
+    # a den's rows share its report, made with the den's first num
+    got = member_bound_reports(base, eps, rows)
+    assert [replace(r, num=a) for a, r in got] == want
+    assert len({id(r) for _, r in got}) == len({r.den for _, r in got})
     assert want
 
 

@@ -595,7 +595,12 @@ def test_member_witness_matches_oracle(base, digits):
 
 def _row_witnesses(ds, rows):
     rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    return list(cantor._witness_rows(ds, rows))
+    got = []
+    for num, den, digits, off, cut in cantor._witness_chunks(ds, rows):
+        for i in range(num.size):
+            pre, period = digits[off[i] : cut[i]], digits[cut[i] : off[i + 1]]
+            got.append((int(num[i]), int(den[i]), pre.tolist(), period.tolist()))
+    return got
 
 
 def _scalar_witnesses(ds, rows):

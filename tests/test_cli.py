@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timesb import cantor, cli, numtheory, sieve
+from timesb import bounds, cantor, cli, numtheory, sieve
 from timesb.bounds import BOUNDS_CSV_HEADER, aggregate_constants, bound_report
 from timesb.cantor import DigitSet
 from timesb.numtheory import factorize
@@ -571,7 +571,12 @@ def _old_bounds_stdout(ds, members, T, fmt):
             for r in reports
         ]
         return dump({"rows": rows_json, "summary": summary}) + "\n"
-    lines = [BOUNDS_CSV_HEADER] + [r.csv_row(ds.digits) for r in reports]
+    digits = ";".join(map(str, ds.digits))
+    lines = [BOUNDS_CSV_HEADER] + [
+        f"{r.base},{digits},{r.num},{r.den},{r.largest_prime},{r.radical},{r.branch},"
+        f"{r.K_emp!r},{r.c_emp_rad!r},{r.c_emp_P!r}"
+        for r in reports
+    ]
     return "\n".join(lines) + "\n\n" + dump(summary) + "\n"
 
 
@@ -615,6 +620,25 @@ def test_enumerate_rejects_row_without_good_expansion(capsys, monkeypatch):
     monkeypatch.setattr(sieve, "members_up_to", with_intruder)
     code, out, err = run_cli(
         capsys, "enumerate", "--base", "6", "--digits", "1,2,3,4,5", "--max-den", "40"
+    )
+    assert code == 3 and out == ""
+    assert "1/36" in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("--denominators", "35,36,1"), ("--den-form", "6^k", "--max-exp", "2")],
+)
+def test_member_records_reject_row_without_good_expansion(capsys, monkeypatch, source):
+    # the same forged 1/36, let through the orbit build's rows
+    real = cantor._by_value
+
+    def with_intruder(rows):
+        return real(np.concatenate([rows, [[1, 36]]]))
+
+    monkeypatch.setattr(cantor, "_by_value", with_intruder)
+    code, out, err = run_cli(
+        capsys, "enumerate", "--base", "6", "--digits", "1,2,3,4,5", *source
     )
     assert code == 3 and out == ""
     assert "1/36" in err
@@ -721,6 +745,84 @@ def test_member_records_take_no_scalar_walk(capsys, monkeypatch):
         capsys, "enumerate", "--base", "3", "--digits", "0,2", "--denominators", "4,10,1"
     )
     assert code == 0 and out.count("\n") == 8
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize(
+    "base, digits, T, dens, q, max_exp",
+    [
+        # 53/256 is a member by its dual alone, 5 allowed makes 1 a member,
+        # and 1/5 = 0.(1) has an empty preperiod
+        (6, (1, 2, 3, 4, 5), 300, [1, 5, 7, 35, 36, 256], 2, 8),
+        # the digits 10 and 11 are two characters each; 1 = 0.(11)
+        (12, (0, 10, 11), 150, [1, 11, 12, 13, 143, 144], 12, 2),
+    ],
+)
+def test_enumerate_lines_across_chunk_boundaries(
+    capsys, monkeypatch, chunk, base, digits, T, dens, q, max_exp
+):
+    # chunks of one and three rows: every row starts or ends a chunk, so
+    # each chunk's digit text and slices are cut at every kind of row
+    monkeypatch.setattr(cantor, "_BUDGET", 4 * chunk)
+    ds = DigitSet(base, digits)
+    common = ("enumerate", "--base", str(base), "--digits", ",".join(map(str, digits)))
+    code, out, _ = run_cli(capsys, *common, "--max-den", str(T))
+    assert code == 0 and out == _scalar_enumerate_stdout(ds, T)
+    if base == 6:
+        assert '"den":256,"num":53,"period":[5],' in out
+    assert out.endswith(f'{{"den":1,"num":1,"period":[{base - 1}],"preperiod":[]}}\n')
+    code, out, _ = run_cli(capsys, *common, "--denominators", ",".join(map(str, dens)))
+    assert code == 0 and out == "".join(map(_dumps, _scalar_records(ds, dens)))
+    code, out, _ = run_cli(capsys, *common, "--den-form", f"{q}^k", "--max-exp", str(max_exp))
+    want = _scalar_records(ds, [q**k for k in range(max_exp + 1)])
+    assert code == 0 and out == "".join(map(_dumps, want))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bounds_constants_once_per_den(capsys, monkeypatch, jobs):
+    # the constants depend on d alone: one _report per distinct d that is
+    # reported, and the same bytes as bound_report on every member
+    ds = DigitSet(3, (0, 2))
+    T, eps = 3000, ds.epsilon_exact
+    calls = []
+    real = bounds._report
+
+    def spy(base, epsilon, a, d, P, rad):
+        calls.append(d)
+        return real(base, epsilon, a, d, P, rad)
+
+    monkeypatch.setattr(bounds, "_report", spy)
+    members = _fraction_route_members(ds, T, jobs)
+    rows = [
+        x for x in members
+        if x.denominator > 1 and gcd(3, x.denominator) == 1 and eps * x.denominator >= 3
+    ]
+    dens = {x.denominator for x in rows}
+    assert len(dens) < len(rows)
+    argv = ("bounds", "--base", "3", "--digits", "0,2", "--max-den", str(T),
+            "--jobs", str(jobs))
+    for fmt in ("csv", "json"):
+        calls.clear()
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert sorted(calls) == sorted(dens)
+        assert out == _old_bounds_stdout(ds, members, T, fmt)
+
+
+def test_bounds_every_row_skipped(capsys):
+    # epsilon*d < 3 for every d <= 2000: no row, and a summary of count 0
+    argv = ("bounds", "--base", "3", "--digits", "0,2", "--max-den", "2000",
+            "--epsilon", "1/1000")
+    summary = (
+        '{"base":3,"count":0,"digits":[0,2],"epsilon":"1/1000","log":"natural",'
+        '"max_den":2000}'
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == f"{BOUNDS_CSV_HEADER}\n\n{summary}\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == f'{{"rows":[],"summary":{summary}}}\n'
 
 
 def test_enumerate_max_den_progress_on_stderr(capsys, monkeypatch):

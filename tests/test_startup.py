@@ -1,8 +1,8 @@
 """Start-up cost: the commands that never reach the sieve, the walk or the
-smallest-prime-factor table run without importing numpy or the process
-pool, the orbit layer's commands run no code of the Cantor-set, sieve or
-bounds layers, numpy starts no OpenBLAS threads, and a pool forked right
-after numpy's first import gives the same bytes as no pool."""
+bounds stream run without importing numpy or the process pool, the orbit
+layer's commands run no code of the Cantor-set, sieve or bounds layers,
+numpy starts no OpenBLAS threads, and a pool forked right after numpy's
+first import gives the same bytes as no pool."""
 
 import os
 import subprocess
@@ -115,12 +115,16 @@ def test_count_at_one_job_imports_no_pool():
         "count --base 3 --digits 0,2 --max-den 500 --jobs 1",
         "enumerate --base 3 --digits 0,2 --max-den 500 --jobs 1",
         "certify --base 3 --digits 0,2 --primes 2,7,11,13",
+        "enumerate --base 3 --digits 0,2 --denominators 4,10,1",
+        "enumerate --base 3 --digits 0,2 --den-form 2^k --max-exp 8",
+        "bounds --base 3 --digits 0,2 --max-den 500 --jobs 1",
+        "bounds --base 3 --digits 0,2 --max-den 500 --jobs 1 --format json",
     ],
 )
 def test_sieve_commands_load_no_numpy_ma(argv):
-    # the sieve's final dedup, the enumerate witnesses and certify's
-    # requested-den filter stay clear of np.unique, which imports numpy.ma on
-    # its first call
+    # the sieve's final dedup, the enumerate witnesses and lines, certify's
+    # requested-den filter and the bounds per-den grouping stay clear of
+    # np.unique, which imports numpy.ma on its first call
     assert loaded_modules(*argv.split(), watch=("numpy", "numpy.ma")) == ["numpy"]
 
 
