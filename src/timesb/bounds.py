@@ -74,11 +74,18 @@ class BoundReport:
 BOUNDS_CSV_HEADER = "b,digits,a,d,P,rad,branch,K_emp,c_emp_rad,c_emp_P"
 
 
-def bound_report(base: int, epsilon: Fraction, x: Fraction) -> BoundReport | None:
-    """Evaluate the constants for one member, or None when epsilon*d < 3.
+def _reported(epsilon: Fraction, d: int) -> bool:
+    """Whether a member of denominator d gets a report: d >= 3 and
+    epsilon*d >= 3, which keep the double logarithms log log d and
+    log log(2*epsilon*d) positive."""
+    return d >= 3 and epsilon.numerator * d >= 3 * epsilon.denominator
 
-    The small-denominator skip keeps the double logarithm positive; the
-    coprimality precondition gcd(a*base, d) = 1 is what rules out P(d) =
+
+def bound_report(base: int, epsilon: Fraction, x: Fraction) -> BoundReport | None:
+    """Evaluate the constants for one member, or None when d < 3 or
+    epsilon*d < 3 (see _reported).
+
+    The coprimality precondition gcd(a*base, d) = 1 is what rules out P(d) =
     base and makes the two branches exhaustive.
     """
     if base < 2:
@@ -90,10 +97,10 @@ def bound_report(base: int, epsilon: Fraction, x: Fraction) -> BoundReport | Non
         raise PreconditionError(
             f"{frac_str(x)} violates gcd(a*b, d) = 1 for base {base}"
         )
-    if epsilon * d < 3:
-        return None
     if d == 1:
         raise PreconditionError("denominator 1 has no largest prime factor")
+    if not _reported(epsilon, d):
+        return None
     return _report(base, epsilon, a, d, largest_prime(d), radical(d))
 
 
@@ -134,8 +141,8 @@ def member_bound_reports(
     base: int, epsilon: Fraction, rows: np.ndarray
 ) -> list[tuple[int, BoundReport]]:
     """(num, report) of each member row (num, den), in row order, over the
-    rows with den > 1 coprime to the base and epsilon*den >= 3: one report
-    per den, made as bound_report makes it, with the den's first num."""
+    rows with den coprime to the base that _reported keeps: one report per
+    den, made as bound_report makes it, with the den's first num."""
     import numpy as np
 
     rows = rows[(rows[:, 1] > 1) & (np.gcd(rows[:, 1], base) == 1)]
@@ -147,7 +154,7 @@ def member_bound_reports(
     reports = {
         d: _report(base, epsilon, a, d, largest_prime(d), radical(d))
         for d, a in first.items()
-        if epsilon.numerator * d >= 3 * epsilon.denominator
+        if _reported(epsilon, d)
     }
     return [(a, reports[d]) for a, d in rows if d in reports]
 

@@ -213,6 +213,10 @@ def cmd_expand(args) -> int:
 
 
 _DEN_FORM_HELP = "denominator family like 2^k (with --max-exp bounding k)"
+_JOBS_HELP = (
+    "walk the digit tree in at most N processes (default: $TIMESB_JOBS, else 1); "
+    "a tree too small to gain from more is walked in one"
+)
 
 
 def _json_lines(ds: cantor.DigitSet, chunk: tuple) -> str:
@@ -459,12 +463,14 @@ def _verify_count_invariance(rng: random.Random, trials: int) -> None:
         b = rng.randrange(2, 6)
         size = rng.randrange(1, b)
         digits = tuple(sorted(rng.sample(range(b), size)))
-        ds = cantor.DigitSet(b, digits)
         T = rng.randrange(1, 300)
-        serial = cantor.count_report(ds, T, jobs=1)
-        parallel = cantor.count_report(ds, T, jobs=2)
-        if serial != parallel:
-            raise InvariantError(f"count changed under parallelism: {ds} T {T}")
+        # members_up_to descends trees this small in one process at any jobs
+        # value, so the split is asked for directly
+        serial = sieve.members_up_to(b, digits, T, 1).tolist()
+        if sieve._split_members(b, digits, T, 2).tolist() != serial:
+            raise InvariantError(
+                f"sieve rows changed under a two-process split: base {b} digits {digits} T {T}"
+            )
 
 
 def _verify_growth(rng: random.Random, trials: int) -> None:
@@ -498,7 +504,7 @@ def cmd_verify(args) -> int:
     for name, check in _VERIFY_CHECKS:
         trials = args.trials
         if name == "count_parallel_invariance":
-            trials = max(1, args.trials // 10)  # spawns worker pools, keep light
+            trials = max(1, args.trials // 10)  # forks a worker per trial, keep light
         check(random.Random(rng.randrange(2**63)), trials)
         print(f"ok {name} ({trials} trials)")
     return 0
@@ -552,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exp", type=int)
     p.add_argument("--max-den", type=int)
     p.add_argument("--denominators", type=_int_list)
-    p.add_argument("--jobs", "-j", type=int, default=_default_jobs())
+    p.add_argument("--jobs", "-j", type=int, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
 
     p = add("count", cmd_count, help="count members below a denominator bound")
     p.add_argument("--digits", type=_int_list, required=True)
@@ -561,14 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="report all-pairs counts")
     p.add_argument("--coprime", action="store_true", help="denominators coprime to b only")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", "-j", type=int, default=_default_jobs())
+    p.add_argument("--jobs", "-j", type=int, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
 
     p = add("bounds", cmd_bounds, help="empirical constants over enumerated members")
     p.add_argument("--digits", type=_int_list, required=True)
     p.add_argument("--max-den", type=int, required=True)
     p.add_argument("--epsilon", type=_fraction_arg)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", "-j", type=int, default=_default_jobs())
+    p.add_argument("--jobs", "-j", type=int, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
 
     p = sub.add_parser("verify", help="seeded randomized self-checks")
     p.set_defaults(func=cmd_verify)

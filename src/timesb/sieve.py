@@ -88,22 +88,31 @@ children one level down. No call sees more than _BUDGET columns (k if
 k > _BUDGET), and the stack holds at most one block per level, since its
 depths rise strictly from bottom to top: peak memory is about _BUDGET * L
 columns of 10 int64 rows, whatever the digit set. Leaf candidates go to the
-walk each time at least _BUDGET rows are held, and once at the end. With
-jobs > 1 the root is first grown breadth first to a frontier of at most
-_FRONTIER columns, cut into at most 4*jobs contiguous slices, one task
-each. Tasks return their representatives, the calling process builds the
-rest, and the final sort makes the output the same for every split.
+walk each time at least _BUDGET rows are held, and once at the end.
 
-numpy is imported by the functions that use it, on their first call, and
-the process pool only when jobs > 1: importing this module loads neither,
-so the commands that never reach the vectorised code start without them.
+members_up_to takes jobs as a ceiling on the processes that descend the
+tree. It estimates the tree's work as k^(log_base T^2), the count of digit
+strings of length log_base T^2 over the k allowed digits, which tracks the
+descent's time within a factor of two once the tree is not tiny. Below
+_FORK_WORK a child process costs more than it saves, and the whole tree is
+descended in the calling process, as at jobs 1. Past it the root is first
+grown breadth first to a frontier of at most _FRONTIER columns, dealt out
+column by column into min(jobs, columns, CPUs) shares. The calling process
+descends the first share and a forked child each other one (_fork_split).
+The calling process builds the rest from the representatives, and the
+final sort makes the output the same for every split.
+
+numpy is imported by the functions that use it, on their first call:
+importing this module does not load it, so the commands that never reach
+the vectorised code start without it.
 """
 
 from __future__ import annotations
 
 import os
 from functools import cmp_to_key, partial
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from math import log
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import InvariantError, PreconditionError
 
@@ -111,7 +120,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 _BUDGET = 1 << 13  # columns of one _children or _descend call
-_FRONTIER = 1024  # columns of the frontier cut into parallel tasks
+_FRONTIER = 1024  # columns of the frontier dealt out into the processes' shares
+_FORK_WORK = 3e6  # estimated tree work (_tree_work) from which a split pays
 _MAX_STEPS = 200  # a denominator below 2^62 has fewer than 92 partial quotients
 
 
@@ -123,6 +133,11 @@ def limit_depth(base: int, T: int) -> int:
         w *= base
         L += 1
     return L
+
+
+def _tree_work(base: int, k: int, T: int) -> float:
+    """Estimated work of the tree of a k-digit set up to T: (T^2)^(log k / log base)."""
+    return (T * T) ** (log(k) / log(base))
 
 
 def _root() -> np.ndarray:
@@ -309,10 +324,10 @@ def members_up_to(
 ) -> np.ndarray:
     """All reduced members (num, den) with den <= T, each once, by value.
 
-    Output is identical for every jobs value.
+    jobs caps the processes that descend the tree; a tree whose estimated
+    work is below _FORK_WORK is descended in this process alone. Output is
+    identical for every jobs value.
     """
-    import numpy as np
-
     digits = tuple(sorted(set(int(x) for x in digits)))
     if base < 2 or not digits or digits[0] < 0 or digits[-1] >= base:
         raise PreconditionError(f"invalid digit set {digits} for base {base}")
@@ -324,34 +339,89 @@ def members_up_to(
         raise PreconditionError(f"max denominator must be >= 1, got {T}")
     if jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs}")
-    L = limit_depth(base, T)
-    if base**L >= 2**62:
+    if base ** limit_depth(base, T) >= 2**62:
         raise PreconditionError(
             f"max denominator {T} too large for the int64 engine"
         )
+    if _tree_work(base, len(digits), T) < _FORK_WORK:
+        jobs = 1
+    return _split_members(base, digits, T, jobs)
 
+
+def _split_members(
+    base: int, digits: tuple[int, ...], T: int, workers: int
+) -> np.ndarray:
+    """members_up_to's rows for a checked, sorted digit tuple, the tree
+    descended by min(workers, frontier columns, CPUs) processes whatever its
+    size."""
+    import numpy as np
+
+    L = limit_depth(base, T)
     # frontier: grow the root breadth first until there is enough parallel
-    # grain; stop above the leaves so that every task descends a level
+    # grain; stop above the leaves so that every share descends a level
     depth, state = 0, _root()
-    while jobs > 1 and depth + 1 < L and 0 < state.shape[1] * len(digits) <= _FRONTIER:
+    while workers > 1 and depth + 1 < L and 0 < state.shape[1] * len(digits) <= _FRONTIER:
         state = _descend(_children(state, digits, base, depth), T)[2]
         depth += 1
-    tasks = np.array_split(state, max(1, min(4 * jobs, state.shape[1])), axis=1)
-    run = partial(_descend_task, base, digits, T, L, depth)
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers == 1:
-        results = [run(t) for t in tasks]
-    else:
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, tasks, chunksize=1))
-        except BrokenProcessPool as exc:
-            raise InvariantError(f"a worker process died: {exc}") from exc
-    reps = np.concatenate(results)
+    workers = min(workers, state.shape[1], os.cpu_count() or 1)
+    shares = [state[:, i::workers] for i in range(workers)]
+    reps = _fork_split(partial(_descend_task, base, digits, T, L, depth), shares)
     reps = np.column_stack([reps, np.full(len(reps), T)])
     return _by_value(_orbits(base, digits, T, reps))
+
+
+def _fork_split(
+    run: Callable[[np.ndarray], np.ndarray], shares: list[np.ndarray]
+) -> np.ndarray:
+    """The int64 (num, den) rows of run(share) over all shares.
+
+    This process runs the first share. Each other share runs in a forked
+    child that writes its rows to a pipe as raw int64 bytes and leaves by
+    os._exit, so it never returns into the caller's code or flushes the
+    caller's buffers. The parent reads every pipe to its end and waits for
+    every child; a child that fails or is killed raises InvariantError, and
+    every way out of here kills and reaps the children still running. A
+    child runs only numpy array code, so a lock held by another thread at
+    the fork cannot stall it; the command line starts no such thread.
+    """
+    import numpy as np
+
+    pipes, live = [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as out:
+                        out.write(run(share).tobytes())
+                    code = 0
+                finally:
+                    os._exit(code)
+            live.append(pid)
+            os.close(write)
+            pipes.append(open(read, "rb"))
+        results = [run(shares[0])]
+        for pid, pipe in zip(list(live), pipes):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            live.remove(pid)
+            if status:
+                ended = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-ended}" if ended < 0 else f"exit status {ended}"
+                raise InvariantError(f"a worker process failed ({how})")
+            results.append(np.frombuffer(data, dtype=np.int64).reshape(-1, 2))
+        return np.concatenate(results)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in live:
+            from signal import SIGKILL  # loaded only when a child is left
+
+            os.kill(pid, SIGKILL)  # an unreaped child exists, if only as a zombie
+            os.waitpid(pid, 0)
 
 
 def _by_value(rows: np.ndarray) -> np.ndarray:

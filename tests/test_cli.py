@@ -5,9 +5,9 @@ import importlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -405,17 +405,30 @@ def test_rho_failure_exits_3_without_traceback(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def _die(*args):
-    # stands in for sieve._descend_task: the pool worker running it dies
-    os._exit(1)
-
-
-@pytest.mark.parametrize("error, want", [(MemoryError(), 2), (BrokenProcessPool(), 3)])
+@pytest.mark.parametrize(
+    "error, want",
+    [
+        (MemoryError(), 2),
+        (RuntimeError("worker fails"), 3),
+        pytest.param(signal.SIGKILL, 3, id="worker-killed-3"),
+    ],
+)
 def test_resource_failures_exit_without_traceback(capsys, monkeypatch, error, want):
-    if isinstance(error, BrokenProcessPool):
-        # a real one: a pool worker dies. Two workers even on one CPU, so
-        # that _die never runs in this process
-        monkeypatch.setattr(sieve, "_descend_task", _die)
+    if want == 3:
+        # a real worker process raises error, or is killed by it, where it
+        # would descend its share: the split is forced past the cut, with
+        # two processes even on one CPU
+        parent, real = os.getpid(), sieve._descend_task
+
+        def task(*args):
+            if os.getpid() != parent:
+                if error is signal.SIGKILL:
+                    os.kill(os.getpid(), error)
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(sieve, "_descend_task", task)
+        monkeypatch.setattr(sieve, "_FORK_WORK", 0)
         monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
     else:
 
@@ -429,6 +442,8 @@ def test_resource_failures_exit_without_traceback(capsys, monkeypatch, error, wa
     )
     assert code == want and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    with pytest.raises(ChildProcessError):  # no worker left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_keyboard_interrupt_exits_2_without_traceback(capsys, monkeypatch):
@@ -823,6 +838,21 @@ def test_bounds_every_row_skipped(capsys):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == f'{{"rows":[],"summary":{summary}}}\n'
+
+
+def test_bounds_skips_denominator_two(capsys):
+    # 1/2 is a member of base 3 {0,1} and epsilon*2 >= 3, but log log 2 < 0
+    # leaves c_emp_P undefined: its row is skipped like the epsilon*d < 3 ones
+    argv = ("bounds", "--base", "3", "--digits", "0,1", "--max-den", "1000",
+            "--epsilon", "7/3")
+    proc = subprocess.run(
+        [sys.executable, "-m", "timesb", *argv], capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = proc.stdout.split("\n\n")[0].splitlines()[1:]
+    assert rows and min(int(row.split(",")[3]) for row in rows) >= 3
+    assert bound_report(3, Fraction(7, 3), Fraction(1, 2)) is None
 
 
 def test_enumerate_max_den_progress_on_stderr(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Interval sieve vs naive scans, plus the counting conventions."""
 
-import concurrent.futures.process
+import os
 import random
+import signal
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +22,7 @@ from timesb.cantor import (
     reduced_members_up_to,
     smooth_denominators,
 )
-from timesb.errors import PreconditionError
+from timesb.errors import InvariantError, PreconditionError
 from timesb.orders import build_profile
 from timesb.sieve import (
     _by_value,
@@ -236,13 +238,14 @@ def test_sieve_matches_certificate(base, digits, primes):
     assert sieved == certified and len(sieved) > 10
 
 
-def test_jobs_do_not_change_output():
+def test_jobs_do_not_change_output(monkeypatch):
     ds = DigitSet(3, (0, 2))
     assert reduced_members_up_to(ds, 500, jobs=1) == reduced_members_up_to(
         ds, 500, jobs=2
     )
-    # T = 5000 grows a frontier of hundreds of columns, cut into 8 and 12
-    # prefix slices that run in worker processes
+    # past the cut, T = 5000 grows a frontier of hundreds of columns, shared
+    # out among this process and forked children
+    monkeypatch.setattr(sieve, "_FORK_WORK", 0)
     rows = members_up_to(3, (0, 2), 5000, jobs=1)
     for jobs in (2, 3):
         assert np.array_equal(members_up_to(3, (0, 2), 5000, jobs=jobs), rows)
@@ -296,40 +299,87 @@ def test_children_calls_stay_within_budget(monkeypatch, budget):
         assert max(sizes) == cap - cap % len(digits)
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size and maps in
-    this process, so no worker is ever started."""
+def _in_process_split(made: list):
+    """Stands in for sieve._fork_split: records the shares and runs them all
+    in this process, so no child is ever forked."""
 
-    made: list = []
+    def split(run, shares):
+        made.append(shares)
+        return np.concatenate([run(share) for share in shares])
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.tasks = 0
-        _SerialPool.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        items = list(items)
-        self.tasks = len(items)
-        return map(fn, items)
+    return split
 
 
 @pytest.mark.parametrize("cpus", [3, 10**4])
 def test_pool_size_capped_by_tasks_and_cpus(monkeypatch, cpus):
     rows = members_up_to(3, (0, 2), 2000)
-    # the sieve imports the pool class from here when jobs > 1
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _SerialPool)
+    made = []
+    monkeypatch.setattr(sieve, "_fork_split", _in_process_split(made))
     monkeypatch.setattr(sieve.os, "cpu_count", lambda: cpus)
-    _SerialPool.made = []
+    # below the cut the whole tree is one share: nothing to fork
     assert np.array_equal(members_up_to(3, (0, 2), 2000, jobs=10**6), rows)
-    (pool,) = _SerialPool.made
-    assert 3 < pool.tasks <= sieve._FRONTIER
-    assert pool.max_workers == min(cpus, pool.tasks)
+    (shares,) = made
+    assert len(shares) == 1 and shares[0].shape[1] == 1
+    # past it, one share per process: min(jobs, frontier columns, CPUs)
+    monkeypatch.setattr(sieve, "_FORK_WORK", 0)
+    assert np.array_equal(members_up_to(3, (0, 2), 2000, jobs=10**6), rows)
+    shares = made[1]
+    columns = sum(share.shape[1] for share in shares)
+    assert 3 < columns <= sieve._FRONTIER
+    assert len(shares) == min(cpus, columns)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_in_children(monkeypatch, fail):
+    """Forces the split past the cut with two processes, each child running
+    fail() where it would descend its share."""
+    parent, real = os.getpid(), sieve._descend_task
+
+    def task(*args):
+        if os.getpid() != parent:
+            fail()
+        return real(*args)
+
+    monkeypatch.setattr(sieve, "_descend_task", task)
+    monkeypatch.setattr(sieve, "_FORK_WORK", 0)
+    monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
+
+
+def _raise():
+    raise RuntimeError("worker fails")
+
+
+def _kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fail, want", [(_raise, "exit status 1"), (_kill, "signal 9")])
+def test_failed_worker_raises_and_leaves_no_child(monkeypatch, fail, want):
+    _fail_in_children(monkeypatch, fail)
+    with pytest.raises(InvariantError, match=f"worker process failed .*{want}"):
+        members_up_to(3, (0, 2), 2000, jobs=2)
+    _no_child_left()
+
+
+def test_interrupt_in_parent_reaps_worker(monkeypatch):
+    # the child would sleep for a minute; the parent's interrupt kills it
+    _fail_in_children(monkeypatch, lambda: time.sleep(60))
+    real = sieve._descend_task
+
+    def interrupted(*args):
+        real(*args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sieve, "_descend_task", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        members_up_to(3, (0, 2), 2000, jobs=2)
+    assert time.monotonic() - start < 30
+    _no_child_left()
 
 
 def test_dual_expansion_members_found():
@@ -490,11 +540,18 @@ def _reflection_cases():
 def test_sieve_matches_whole_tree_members(monkeypatch, budget):
     # oracle for the prenecklace rule and the orbit build: the whole tree,
     # every candidate walked, gives the same rows, for symmetric and
-    # non-symmetric sets alike, at jobs 1 and 2 (the pool maps in this
-    # process)
+    # non-symmetric sets alike, at jobs 1 and 2 (past the cut, with a
+    # forked child)
     monkeypatch.setattr(sieve, "_BUDGET", budget)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(sieve, "_FORK_WORK", 0)
     monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(fork())
+        return forks[-1]
+
+    monkeypatch.setattr(sieve.os, "fork", counted_fork)
     cases = _reflection_cases()
     assert sum(all(b - 1 - c in d for c in d) for b, d, _ in cases) > 40
     for base, digits, T in cases:
@@ -502,6 +559,7 @@ def test_sieve_matches_whole_tree_members(monkeypatch, budget):
         for jobs in (1, 2):
             got = members_up_to(base, digits, T, jobs=jobs).tolist()
             assert got == want, (base, digits, T, jobs)
+    assert len(forks) > len(cases) / 2
     # the only member of base 3 {1} and base 7 {3} is 1/2, a cycle of one
     # point
     assert members_up_to(3, (1,), 40).tolist() == [[1, 2]]
@@ -512,8 +570,9 @@ def test_sieve_matches_whole_tree_members(monkeypatch, budget):
 def test_members_up_to_distinct_in_value_order(monkeypatch, jobs):
     # every row once, strictly rising in value, and the whole tree's rows
     # sorted by Fraction; base 5 {0,2,4} finds 1/2 twice, and 1/2 is the
-    # only member of base 3 {1}. At jobs 2 the pool maps in this process
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _SerialPool)
+    # only member of base 3 {1}. At jobs 2 the shares run in this process
+    monkeypatch.setattr(sieve, "_fork_split", _in_process_split([]))
+    monkeypatch.setattr(sieve, "_FORK_WORK", 0)
     monkeypatch.setattr(sieve.os, "cpu_count", lambda: 2)
     cases = _reflection_cases()
     assert (5, (0, 2, 4), 300) in cases and (3, (1,), 40) in cases

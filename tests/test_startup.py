@@ -1,8 +1,8 @@
 """Start-up cost: the commands that never reach the sieve, the walk or the
-bounds stream run without importing numpy or the process pool, the orbit
-layer's commands run no code of the Cantor-set, sieve or bounds layers,
-numpy starts no OpenBLAS threads, and a pool forked right after numpy's
-first import gives the same bytes as no pool."""
+bounds stream run without importing numpy, no command imports a process
+pool, the orbit layer's commands run no code of the Cantor-set, sieve or
+bounds layers, numpy starts no OpenBLAS threads, and a worker forked right
+after numpy's first import gives the same bytes as no worker."""
 
 import os
 import subprocess
@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from timesb import sieve
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENV = {**os.environ, "PYTHONPATH": SRC}
@@ -104,9 +106,25 @@ def test_count_starts_no_openblas_threads_unless_asked(setting):
         assert kept == setting
 
 
+# base 3 {0,2} at T = 2e5: a tree past the cut, so --jobs 2 forks a worker
+_FORKED = "count --base 3 --digits 0,2 --max-den 200000 --jobs 2"
+
+
+def test_forked_request_is_past_the_cut():
+    assert sieve._tree_work(3, 2, 200000) >= sieve._FORK_WORK
+    assert sieve._tree_work(3, 2, 500) < sieve._FORK_WORK
+
+
 def test_count_at_one_job_imports_no_pool():
     argv = "count --base 3 --digits 0,2 --max-den 500 --jobs 1".split()
     assert loaded_modules(*argv) == ["numpy"]
+
+
+@pytest.mark.parametrize(
+    "argv", ["enumerate --base 3 --digits 0,2 --max-den 500 --jobs 2", _FORKED]
+)
+def test_two_jobs_import_no_pool_below_or_past_the_cut(argv):
+    assert loaded_modules(*argv.split()) == ["numpy"]
 
 
 @pytest.mark.parametrize(
@@ -129,8 +147,7 @@ def test_sieve_commands_load_no_numpy_ma(argv):
 
 
 def test_pool_forked_after_first_numpy_import_keeps_bytes():
-    cmd = [sys.executable, "-m", "timesb", "count", "--base", "3",
-           "--digits", "0,2", "--max-den", "5000"]
+    cmd = [sys.executable, "-m", "timesb", *_FORKED.split()[:-2]]
     out = [
         subprocess.run(
             cmd + ["--jobs", jobs], capture_output=True, env=ENV,
