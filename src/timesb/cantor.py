@@ -35,8 +35,8 @@ the good prefix, and keeps the least point of each all-good cycle; those
 with gcd(a, d') = 1 go to the sieve's orbit build, which adds their cycles,
 the seeds (core 1) and the preperiodic levels over each core up to its
 largest requested d: a list prime to b builds no level, and no level is
-built for a core no d asks for.  The rows of a requested den are kept, and
-the value sort keeps one of a repeated row.
+built for a core no d asks for.  The rows of a requested den are kept, each
+value built once, and the value sort orders them.
 
 A member's witness is its eventually periodic expansion.  For a/d reduced
 the preperiod mu is fixed by the part of d shared with b, and the period is

@@ -67,6 +67,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _default_jobs() -> int:
     env = os.environ.get("TIMESB_JOBS", "")
     try:
@@ -558,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exp", type=int)
     p.add_argument("--max-den", type=int)
     p.add_argument("--denominators", type=_int_list)
-    p.add_argument("--jobs", "-j", type=int, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
+    p.add_argument("--jobs", "-j", type=_jobs_arg, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
 
     p = add("count", cmd_count, help="count members below a denominator bound")
     p.add_argument("--digits", type=_int_list, required=True)
@@ -567,14 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="report all-pairs counts")
     p.add_argument("--coprime", action="store_true", help="denominators coprime to b only")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", "-j", type=int, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
+    p.add_argument("--jobs", "-j", type=_jobs_arg, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
 
     p = add("bounds", cmd_bounds, help="empirical constants over enumerated members")
     p.add_argument("--digits", type=_int_list, required=True)
     p.add_argument("--max-den", type=int, required=True)
     p.add_argument("--epsilon", type=_fraction_arg)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", "-j", type=int, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
+    p.add_argument("--jobs", "-j", type=_jobs_arg, default=_default_jobs(), metavar="N", help=_JOBS_HELP)
 
     p = sub.add_parser("verify", help="seeded randomized self-checks")
     p.set_defaults(func=cmd_verify)

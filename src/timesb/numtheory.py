@@ -10,7 +10,7 @@ composites that survive trial division.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import InvariantError, PreconditionError
 
@@ -239,20 +239,12 @@ def mult_order_bruteforce(base: int, modulus: int) -> int:
     raise InvariantError(f"no order of {base} mod {modulus}")
 
 
-def _as_factor_pairs(exponent_factors) -> list[tuple[int, int]]:
-    if isinstance(exponent_factors, Factorization):
-        return list(exponent_factors.factors)
-    if isinstance(exponent_factors, dict):
-        return sorted(exponent_factors.items())
-    return sorted(exponent_factors)
-
-
-def mult_order_fast(base: int, modulus: int, exponent_factors) -> int:
+def mult_order_fast(base: int, modulus: int, exponent_factors: dict[int, int]) -> int:
     """Multiplicative order given a factored multiple of the group exponent.
 
-    exponent_factors describes E = prod p^e with base**E = 1 mod modulus (e.g.
-    the Carmichael function of the modulus); the order is found by dividing
-    out primes of E while the power stays 1.
+    exponent_factors maps each prime p of E = prod p^e to e, where
+    base**E = 1 mod modulus (e.g. the Carmichael function of the modulus);
+    the order is found by dividing out primes of E while the power stays 1.
     """
     if modulus < 1:
         raise PreconditionError(f"modulus must be >= 1, got {modulus}")
@@ -260,16 +252,13 @@ def mult_order_fast(base: int, modulus: int, exponent_factors) -> int:
         return 1
     if gcd(base, modulus) != 1:
         raise PreconditionError(f"gcd({base}, {modulus}) != 1, no order")
-    pairs = _as_factor_pairs(exponent_factors)
-    e_mult = 1
-    for p, e in pairs:
-        e_mult *= p**e
+    e_mult = prod(p**e for p, e in exponent_factors.items())
     if pow(base, e_mult, modulus) != 1:
         raise PreconditionError(
             f"{e_mult} is not a multiple of the order of {base} mod {modulus}"
         )
     order = e_mult
-    for p, e in pairs:
+    for p, e in exponent_factors.items():
         for _ in range(e):
             if order % p == 0 and pow(base, order // p, modulus) == 1:
                 order //= p

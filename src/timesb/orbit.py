@@ -27,7 +27,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, PreconditionError
-from .numtheory import factorize
 from .orders import DenominatorSplit, OrderProfile, _order_of_split, split_denominator
 from .rational import frac_str
 
@@ -181,7 +180,7 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
         raise PreconditionError(
             f"denominator {d} shares a factor with base {profile.base}"
         )
-    split = split_denominator(profile, factorize(d))
+    split = split_denominator(profile, d)
     order = _order_of_split(profile, split)
 
     rems, preperiod = _remainder_walk(profile.base, x.numerator, d)

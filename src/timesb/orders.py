@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
 from .numtheory import (
     Factorization,
-    factorize,
     group_exponent_factored,
     is_prime,
     mult_order_fast,
@@ -152,30 +151,20 @@ def build_profile(base: int, primes: Iterable[int]) -> OrderProfile:
     mult_order_fast over the factored exponent of the unit group mod p^n, so
     a prime near 1e9 costs a factorization of p - 1, not O(p) steps. The
     brute-force order stays the oracle it is checked against (the `order`
-    command below 10^6, `verify` and the tests).
+    command below 10^6, `verify` and the tests). stabilization_exponent
+    rejects a base below 2, a non-prime and a prime dividing the base, and
+    OrderProfile an empty prime set.
     """
-    if base < 2:
-        raise PreconditionError(f"base must be >= 2, got {base}")
-    plist = sorted(set(primes))
-    if not plist:
-        raise PreconditionError("prime set must be non-empty")
-    for p in plist:
-        if not is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
-        if base % p == 0:
-            raise PreconditionError(f"prime {p} divides base {base}")
     stable: dict[int, tuple[int, int]] = {}
-    for p in plist:
+    for p in sorted(set(primes)):
         n_p = stabilization_exponent(base, p)
         lam = group_exponent_factored(Factorization(p**n_p, ((p, n_p),)))
         stable[p] = (n_p, mult_order_fast(base, p**n_p, lam))
-    records = []
-    for p in plist:
-        n_p, ord_p = stable[p]
-        records.append(
-            (p, PrimeOrderStats(n_p, cap_exponent(p, stable), ord_p))
-        )
-    return OrderProfile(base=base, records=tuple(records))
+    records = tuple(
+        (p, PrimeOrderStats(n_p, cap_exponent(p, stable), ord_p))
+        for p, (n_p, ord_p) in stable.items()
+    )
+    return OrderProfile(base=base, records=records)
 
 
 @dataclass(frozen=True)
@@ -193,30 +182,21 @@ class DenominatorSplit:
             )
 
 
-def _exponents_of(profile: OrderProfile, d) -> dict[int, int]:
-    fact = d if isinstance(d, Factorization) else factorize(d)
-    primes = set(profile.primes)
-    exps: dict[int, int] = {}
-    for p, e in fact:
-        if p not in primes:
-            raise PreconditionError(
-                f"denominator prime {p} lies outside the profile primes "
-                f"{sorted(primes)}"
-            )
-        exps[p] = e
-    return exps
-
-
-def split_denominator(profile: OrderProfile, d) -> DenominatorSplit:
-    """Split d (an int or Factorization over the profile primes) as d0 * d1."""
-    exps = _exponents_of(profile, d)
-    d0 = d1 = 1
-    for p, st in profile.records:
-        e = exps.get(p, 0)
-        if e > st.cap_exp:
-            d0 *= p ** (e - st.cap_exp)
-        d1 *= p ** min(e, st.cap_exp)
-    return DenominatorSplit(d=d0 * d1, d0=d0, d1=d1)
+def split_denominator(profile: OrderProfile, d: int | Factorization) -> DenominatorSplit:
+    """Split d, a product of the profile primes given as an int or a
+    Factorization, as d0 * d1: d1 = gcd(d, cap_modulus) is the part of d
+    under the caps N_p and d0 the excess above them."""
+    d = d.value if isinstance(d, Factorization) else d
+    rest, rad = d, prod(profile.primes)
+    while rest > 0 and (g := gcd(rest, rad)) > 1:
+        rest //= g
+    if rest != 1:
+        raise PreconditionError(
+            f"denominator {d} is not a product of the profile primes "
+            f"{list(profile.primes)}"
+        )
+    d1 = gcd(d, profile.cap_modulus())
+    return DenominatorSplit(d=d, d0=d // d1, d1=d1)
 
 
 def order_from_profile(profile: OrderProfile, exponents: Mapping[int, int]) -> int:
@@ -227,10 +207,8 @@ def order_from_profile(profile: OrderProfile, exponents: Mapping[int, int]) -> i
             raise PreconditionError(f"prime {p} not in profile primes")
         if e < 0:
             raise PreconditionError(f"exponent of {p} must be >= 0, got {e}")
-    factors = tuple((p, e) for p, e in sorted(exponents.items()) if e > 0)
-    d = prod(p**e for p, e in factors)
-    split = split_denominator(profile, Factorization(value=d, factors=factors))
-    return _order_of_split(profile, split)
+    d = prod(p**e for p, e in exponents.items())
+    return _order_of_split(profile, split_denominator(profile, d))
 
 
 def _order_of_split(profile: OrderProfile, split: DenominatorSplit) -> int:

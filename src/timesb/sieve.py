@@ -76,9 +76,10 @@ y's predecessor digit, level m+1 is (c + z)/base over every allowed c and
 z in level m, each reduced by its gcd. For z = n/q that gcd divides base
 and is prime to q, so den never shrinks and a row over its cycle's bound
 (T here) is dropped with everything built from it; no power of the base is
-assumed, which composite bases need. A terminating value, ..c000.. and
-..(c-1)(b-1)(b-1).., may come from both seeds, and the value sort
-(_by_value) keeps one row.
+assumed, which composite bases need. A terminating value has two
+expansions, ..c000.. and ..(c-1)(b-1)(b-1)..; both are good only if 0 and
+c are allowed, and then the seed 0/1 builds the row c/b, so level 1 over
+the seed 1/1 skips the digit c-1. No value is built twice.
 
 The tree is walked depth first over blocks of columns under a fixed budget.
 A task pops a block, expands at most _BUDGET // k of its columns (k digits)
@@ -289,7 +290,7 @@ def _descend_task(
 def _orbits(
     base: int, digits: tuple[int, ...], T: int, reps: np.ndarray
 ) -> np.ndarray:
-    """The (num, den) rows, unordered and possibly repeated, of the cycles of
+    """The (num, den) rows, unordered and each value once, of the cycles of
     the representatives reps (int64 rows num, den, bound), the seeds and the
     preperiodic levels over them (see the module docstring), each level row
     kept while its den is within its cycle's bound, or T for the seeds'."""
@@ -308,6 +309,8 @@ def _orbits(
     c = np.array(digits, dtype=np.int64)[:, None]
     rows = [np.stack([n, q], axis=1)]
     keep = c != pred  # level 1 leaves the cycle, so its digit is not pred
+    # over the seed 1/1 (n == q), the seed 0/1 builds (c+1)/b if 0 and c+1 are allowed
+    keep &= (n != q) | (digits[0] > 0) | ~np.isin(c + 1, digits)
     while n.size:
         n, q, top = np.broadcast_arrays(c * q + n, base * q, top)
         g = np.gcd(n, base)
@@ -425,33 +428,24 @@ def _fork_split(
 
 
 def _by_value(rows: np.ndarray) -> np.ndarray:
-    """Int64 (num, den) rows of reduced fractions in [0, 1] with den <= 2^62,
-    in exact value order, each row once.
+    """Int64 (num, den) rows of distinct reduced fractions in [0, 1] with
+    den <= 2^62, in exact value order.
 
     The float key num/den rounds num, den and their quotient, so it is off
     by at most about 3*2^-53 of the value, and the keys never reorder two
-    values more than 2^-50 of the larger apart.  A repeated row has the same
-    key, so a neighbour compare over equal keys drops the copies that sort
-    next to each other.  Adjacent keys still that close form runs, and each
-    run is re-sorted by cross-multiplying; a run also keeps one of any copies
-    that a distinct row with an equal key kept apart (den > 2^53 only).
+    values more than 2^-50 of the larger apart.  Adjacent keys that close
+    form runs, and each run is re-sorted by cross-multiplying.
     """
     import numpy as np
 
-    num, den = rows[:, 0], rows[:, 1]
-    key = num / den
+    key = rows[:, 0] / rows[:, 1]
     order = np.argsort(key)
-    key = key[order]
-    eq = np.flatnonzero(key[1:] == key[:-1])
-    lo, hi = order[eq], order[eq + 1]
-    copy = eq[(num[lo] == num[hi]) & (den[lo] == den[hi])] + 1
-    if copy.size:
-        order, key = np.delete(order, copy), np.delete(key, copy)
+    key, out = key[order], rows.take(order, axis=0)
     near = key[1:] - key[:-1] <= key[1:] * 2.0**-50
     tied = np.concatenate(([False], near, [False]))
     edges = np.flatnonzero(tied[1:] != tied[:-1])
     for start, stop in zip(edges[::2], edges[1::2] + 1):
-        run = {(int(num[i]), int(den[i])): i for i in order[start:stop]}
-        ranked = sorted(run, key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
-        order[start:stop] = [run[r] for r in ranked] + [-1] * (stop - start - len(run))
-    return rows.take(order[order >= 0], axis=0)
+        run = out[start:stop].tolist()
+        run.sort(key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
+        out[start:stop] = run
+    return out

@@ -87,6 +87,15 @@ def factor_bruteforce(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def split_oracle(d: int, caps: dict[int, int]) -> tuple[int, int]:
+    """(d0, d1) of d >= 1 over the primes of caps, which maps each prime p to
+    its cap N_p, exponent by exponent: d1 = prod p^min(e_p, N_p), d0 = d/d1."""
+    d1 = 1
+    for p, e in factor_bruteforce(d):
+        d1 *= p ** min(e, caps[p])
+    return d // d1, d1
+
+
 def orbit_oracle(base: int, x: Fraction) -> tuple[list[Fraction], int]:
     """Points of the orbit of x under y -> (b*y) % 1 up to the first repeat,
     by plain Fraction iteration, and the index where the cycle starts."""

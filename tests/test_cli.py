@@ -509,6 +509,26 @@ def test_count_non_symmetric_bytes_match_across_jobs():
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --base 3 --digits 0,2 --max-den 10",
+        "count --base 2 --digits 0,1 --max-den 10",  # the full set: no sieve
+        "enumerate --base 3 --digits 0,2 --max-den 10",
+        "enumerate --base 3 --digits 0,2 --denominators 9",  # no sieve
+        "bounds --base 3 --digits 0,2 --max-den 10",
+    ],
+)
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv.split(), "--jobs", jobs])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"--jobs/-j: must be >= 1, got {jobs}" in err
+    assert "Traceback" not in err
+
+
 def test_jobs_env_default(monkeypatch):
     monkeypatch.setenv("TIMESB_JOBS", "4")
     assert cli._default_jobs() == 4

@@ -18,6 +18,8 @@ from timesb.orders import (
     stabilization_exponent,
 )
 
+from oracles import split_oracle
+
 
 def test_stabilization_exponent_examples():
     assert stabilization_exponent(3, 2) == 3
@@ -136,6 +138,28 @@ def test_split_denominator_examples():
     assert split_denominator(prof35, 1) == DenominatorSplit(1, 1, 1)
     with pytest.raises(PreconditionError, match="7"):
         split_denominator(prof35, 7)
+
+
+@pytest.mark.parametrize(
+    "base, primes",
+    [(2, [3]), (3, [2, 5]), (10, [3, 7, 11, 13]), (3, [2, 5, 7, 11, 13, 17, 19])],
+)
+def test_split_denominator_matches_exponentwise_oracle(base, primes):
+    prof = build_profile(base, primes)
+    caps = {p: prof.stats(p).cap_exp for p in primes}
+    rng = random.Random(base * 1000 + len(primes))
+    for _ in range(80):
+        d = math.prod(p ** rng.randint(0, caps[p] + 3) for p in primes)
+        want = DenominatorSplit(d, *split_oracle(d, caps))
+        assert split_denominator(prof, d) == want
+        assert split_denominator(prof, factorize(d)) == want
+    assert split_denominator(prof, 1) == DenominatorSplit(1, 1, 1)
+    q = next(q for q in (2, 3, 5, 7) if q not in primes)
+    for d in (q, q * math.prod(primes), 0, -math.prod(primes)):
+        with pytest.raises(PreconditionError) as exc:
+            split_denominator(prof, d)
+        assert f"denominator {d} " in str(exc.value)
+        assert str(sorted(primes)) in str(exc.value)
 
 
 def test_order_from_profile_examples():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timesb import sieve
+from timesb import cantor, sieve
 from timesb.cantor import (
     DigitSet,
     count_members_up_to,
@@ -468,8 +468,8 @@ def test_orbit_build_edge_cases(base, digits, T):
 
 
 def test_terminating_value_from_both_seeds_kept_once(monkeypatch):
-    # 1/4 = 0.1000... = 0.0333... in base 4 {0,1,3}: built from the seed 0/1
-    # and from the seed 1/1, and printed once
+    # 1/4 = 0.1000... = 0.0333... in base 4 {0,1,3}: both seeds reach it, but
+    # only the seed 0/1 builds it, and it is printed once
     real = sieve._orbits
     built = []
 
@@ -480,11 +480,45 @@ def test_terminating_value_from_both_seeds_kept_once(monkeypatch):
 
     monkeypatch.setattr(sieve, "_orbits", spy)
     rows = members_up_to(4, (0, 1, 3), 20).tolist()
-    assert built.count([1, 4]) == 2 and rows.count([1, 4]) == 1
+    assert built.count([1, 4]) == 1 and rows.count([1, 4]) == 1
     # one seed and nothing built from it: 0.666... = 1 in base 7 {6}; no
     # seed: 0.111... = 1/2 in base 3 {1}
     assert members_up_to(7, (6,), 50).tolist() == [[1, 1]]
     assert members_up_to(3, (1,), 50).tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("base, digits, T", [(4, (0, 1, 3), 80), (7, (0, 3, 4, 6), 60)])
+def test_orbit_build_rows_distinct(monkeypatch, base, digits, T):
+    # sets with 0, base-1 and a consecutive pair, where a terminating value
+    # has two good expansions: neither producer's orbit build hands the
+    # value sort a row twice, and its rows are the scalar scan's
+    ds = DigitSet(base, digits)
+    built = []
+
+    def spy(real):
+        def run(*args):
+            out = real(*args)
+            built.append(out.tolist())
+            return out
+
+        return run
+
+    monkeypatch.setattr(sieve, "_orbits", spy(sieve._orbits))
+    monkeypatch.setattr(cantor, "_orbits", spy(cantor._orbits))
+    want = naive_members(ds, T)
+    members_up_to(base, digits, T)
+    rng = random.Random(base)
+    dens = sorted({base, base**2, base**3, *rng.sample(range(2, 4 * T), 20)})
+    got = [Fraction(a, d) for a, d, _, _ in enumerate_members(ds, dens)]
+    sieve_rows, cantor_rows = built
+    for rows in built:
+        assert len(set(map(tuple, rows))) == len(rows)
+    assert sorted(Fraction(*r) for r in sieve_rows) == want
+    assert all(member(ds, Fraction(*r)) for r in cantor_rows)
+    assert got == sorted(
+        Fraction(a, d) for d in dens for a in range(d + 1)
+        if gcd(a, d) == 1 and member(ds, Fraction(a, d))
+    )
 
 
 def test_descent_work_pinned(monkeypatch):
@@ -708,25 +742,3 @@ def test_by_value_exact_above_float_precision():
     rows = np.array(pairs, dtype=np.int64)
     got = [Fraction(a, d) for a, d in _by_value(rows).tolist()]
     assert got == sorted(Fraction(a, d) for a, d in pairs)
-
-
-def test_by_value_drops_repeats_inside_tie_runs():
-    # rows near 1/3 with den in (2^60, 2^61) form tie runs of the float key;
-    # some rows come two or three times, scattered through the input
-    rng = random.Random(62)
-    pairs = set()
-    while len(pairs) < 200:
-        d = rng.randrange(2**60, 2**61)
-        for a in (d // 3 - 1, d // 3, d // 3 + 1):
-            if gcd(a, d) == 1:
-                pairs.add((a, d))
-    pairs = sorted(list(r) for r in pairs)
-    repeated = pairs + rng.sample(pairs, 80) + rng.sample(pairs, 30)
-    rng.shuffle(repeated)
-    rows = np.array(repeated, dtype=np.int64)
-    keys = rows[:, 0] / rows[:, 1]
-    assert len(set(keys.tolist())) < len(pairs)  # the keys do collide
-    got = _by_value(rows).tolist()
-    assert got == sorted(pairs, key=lambda r: Fraction(*r))
-    # one row three times and nothing else
-    assert _by_value(np.array([[1, 2]] * 3, dtype=np.int64)).tolist() == [[1, 2]]
