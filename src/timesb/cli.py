@@ -166,9 +166,10 @@ def cmd_orbit(args) -> int:
         if not args.primes:
             raise PreconditionError("--decompose needs --primes")
         profile = build_profile(args.base, args.primes)
-        print(decompose(profile, x).to_json())
+        record = decompose(profile, x)
     else:
-        print(orbit(args.base, x).to_json())
+        record = orbit(args.base, x)
+    sys.stdout.writelines(record.json_chunks())
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
+from typing import Mapping
 
 from .errors import InvariantError, PreconditionError
 
@@ -286,15 +287,34 @@ def unit_group_exponent(p: int, n: int) -> int:
     return (p - 1) * p ** (n - 1)
 
 
-def group_exponent_factored(fact: Factorization) -> dict[int, int]:
-    """Factored exponent of the unit group mod fact.value (Carmichael lambda)."""
+def _factor_over(n: int, primes: tuple[int, ...]) -> Factorization:
+    """n >= 1 factored over the given increasing primes; Factorization
+    raises when they do not cover n."""
+    factors, rest = [], n
+    for q in primes:
+        e = 0
+        while rest % q == 0:
+            rest //= q
+            e += 1
+        if e:
+            factors.append((q, e))
+    return Factorization(n, tuple(factors))
+
+
+def group_exponent_factored(
+    fact: Factorization, p_minus_1: Mapping[int, Factorization | None] | None = None
+) -> dict[int, int]:
+    """Factored exponent of the unit group mod fact.value (Carmichael lambda).
+
+    p_minus_1 may map a prime p of fact to the factored p - 1; that p's
+    unit_group_exponent is then split over the primes of p - 1 and p, and
+    not factorized."""
     lam: dict[int, int] = {}
-
-    def fold(k: int):
-        for p, e in factorize(k):
-            if lam.get(p, 0) < e:
-                lam[p] = e
-
     for p, n in fact:
-        fold(unit_group_exponent(p, n))
+        k = unit_group_exponent(p, n)
+        known = p_minus_1.get(p) if p_minus_1 else None
+        parts = factorize(k) if known is None else _factor_over(k, (*known.primes, p))
+        for q, e in parts:
+            if lam.get(q, 0) < e:
+                lam[q] = e
     return lam

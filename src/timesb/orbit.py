@@ -12,10 +12,12 @@ capped-part orbit shifted by multiples of 1/d0), which is what makes the
 effective density bound D work.
 
 One private walk, `_remainder_walk`, serves `orbit`, `decompose` and the
-digit expansions in `timesb.cantor`. An orbit keeps its remainders and
-writes its points as JSON text with one gcd per run of points sharing a
-reduced denominator (each transient point, then the whole cycle);
-`Fraction`s are built only when asked for.
+digit expansions in `timesb.cantor`. An orbit keeps the walk's list of
+remainders and nothing else of its size: its JSON record is written in text
+blocks of at most `_BLOCK` points, with one gcd per run of points sharing a
+reduced denominator (each transient point, then the whole cycle), and
+`decompose` checks A1 = A2 against the coset construction a block at a
+time. `Fraction`s are built only when asked for.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .orders import DenominatorSplit, OrderProfile, _order_of_split, split_denominator
@@ -63,34 +65,42 @@ def _remainder_walk(
             return rems, mu
 
 
-def _points_json(rems: Sequence[int], den: int, cut: int) -> str:
+# points per text block of a JSON record, and elements per block of A2
+_BLOCK = 4096
+
+
+def _points_json(rems: Sequence[int], den: int, cut: int) -> Iterator[str]:
     """The JSON list of frac_str(Fraction(r, den)) over rems, as json.dumps
-    writes it with separators (",", ":"), for the remainders of an orbit of
-    a reduced fraction over den with its cycle from index cut. Each
-    transient point has a reduced denominator of its own; every cycle point
-    has the same one, so one gcd and one join write the whole cycle."""
-    runs = [rems[i : i + 1] for i in range(cut)]
-    runs.append(rems[cut:])
-    parts = []
-    for run in runs:
-        g = gcd(run[0], den)
+    writes it with separators (",", ":"), in text blocks of at most _BLOCK
+    points, for the remainders of an orbit of a reduced fraction over den
+    with its cycle from index cut. Each transient point has a reduced
+    denominator of its own; every cycle point has the same one, so one gcd
+    serves the whole cycle."""
+    sep = "["
+    for lo, hi in [(i, i + 1) for i in range(cut)] + [(cut, len(rems))]:
+        g = gcd(rems[lo], den)
         if g == den:  # the cycle (0)
-            parts.append('"0"')
+            yield sep + '"0"'
+            sep = ","
             continue
         tail = f"/{den // g}"
-        nums = run if g == 1 else [r // g for r in run]
-        parts.append('"' + f'{tail}","'.join(map(str, nums)) + tail + '"')
-    return "[" + ",".join(parts) + "]"
+        join = f'{tail}","'.join
+        for i in range(lo, hi, _BLOCK):
+            run = rems[i : min(i + _BLOCK, hi)]
+            nums = run if g == 1 else [r // g for r in run]
+            yield sep + '"' + join(map(str, nums)) + tail + '"'
+            sep = ","
+    yield "]"
 
 
 @dataclass(frozen=True)
 class OrbitInfo:
     """All points r/den of a forward orbit in first-visit order, kept as
-    their remainders r over den = den(start)."""
+    their remainders r over den = den(start): the walk's own list."""
 
     base: int
     start: Fraction
-    remainders: tuple[int, ...]
+    remainders: Sequence[int]
     preperiod: int
     period: int
 
@@ -103,14 +113,13 @@ class OrbitInfo:
     def cycle(self) -> tuple[Fraction, ...]:
         return self.points[self.preperiod :]
 
-    def to_json(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
         """base, period, points (as frac_str), preperiod and start as one
-        line of compact JSON with sorted keys."""
-        points = _points_json(self.remainders, self.start.denominator, self.preperiod)
-        return (
-            f'{{"base":{self.base},"period":{self.period},"points":{points},'
-            f'"preperiod":{self.preperiod},"start":"{frac_str(self.start)}"}}'
-        )
+        line of compact JSON with sorted keys, newline included, in chunks
+        of at most _BLOCK points."""
+        yield f'{{"base":{self.base},"period":{self.period},"points":'
+        yield from _points_json(self.remainders, self.start.denominator, self.preperiod)
+        yield f',"preperiod":{self.preperiod},"start":"{frac_str(self.start)}"}}\n'
 
 
 def orbit(base: int, x: Fraction) -> OrbitInfo:
@@ -122,7 +131,7 @@ def orbit(base: int, x: Fraction) -> OrbitInfo:
     return OrbitInfo(
         base=base,
         start=x,
-        remainders=tuple(rems),
+        remainders=rems,
         preperiod=first,
         period=len(rems) - first,
     )
@@ -134,14 +143,15 @@ class OrbitDecomposition:
 
     a1 is the orbit as iterated; a2 rebuilds it from the capped-part orbit
     plus offsets j/d0. Once they compare equal, both are the sorted
-    remainders r of the points r/den(start), stored once.
+    remainders r of the points r/den(start): the walk's own list, sorted in
+    place, and the only copy of either.
     """
 
     base: int
     start: Fraction
     split: DenominatorSplit
     order: int
-    remainders: tuple[int, ...]
+    remainders: Sequence[int]
 
     @property
     def a1(self) -> tuple[Fraction, ...]:
@@ -150,25 +160,50 @@ class OrbitDecomposition:
 
     a2 = a1
 
-    def to_json(self) -> str:
-        """a1 and a2 (as frac_str; one text, since decompose raises when
-        they differ), base, d0, d1, fraction and order as one line of
-        compact JSON with sorted keys."""
-        points = _points_json(self.remainders, self.start.denominator, 0)
-        return (
-            f'{{"a1":{points},"a1_equals_a2":true,"a2":{points},'
-            f'"base":{self.base},"d0":{self.split.d0},"d1":{self.split.d1},'
-            f'"fraction":"{frac_str(self.start)}","order":{self.order}}}'
+    def json_chunks(self) -> Iterator[str]:
+        """a1 and a2 (as frac_str; the same blocks, built once, since
+        decompose raises when they differ), base, d0, d1, fraction and order
+        as one line of compact JSON with sorted keys, newline included."""
+        points = list(_points_json(self.remainders, self.start.denominator, 0))
+        yield '{"a1":'
+        yield from points
+        yield ',"a1_equals_a2":true,"a2":'
+        yield from points
+        yield (
+            f',"base":{self.base},"d0":{self.split.d0},"d1":{self.split.d1},'
+            f'"fraction":"{frac_str(self.start)}","order":{self.order}}}\n'
         )
+
+
+def _is_coset_union(a1: list[int], inner: list[int], d0: int, d1: int) -> bool:
+    """Whether a1 == [q + j*d1 for j in range(d0) for q in inner], compared
+    element by element with the right side built about _BLOCK elements at a
+    time: several whole shifts j*d1 of a short inner list per block, or one
+    shift in slices of a long one."""
+    n = len(inner)
+    if len(a1) != d0 * n:
+        return False
+    step = max(1, _BLOCK // n)
+    pos = 0
+    for j in range(0, d0, step):
+        for i in range(0, n, _BLOCK):
+            part = inner[i : i + _BLOCK]
+            block = [q + k * d1 for k in range(j, min(j + step, d0)) for q in part]
+            if a1[pos : pos + len(block)] != block:
+                return False
+            pos += len(block)
+    return True
 
 
 def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
     """Split the orbit of x through the d0/d1 factorization and verify it.
 
     Both descriptions are compared as sorted numerators over d = den(x):
-    A1 is the remainder walk of x itself, and A2 shifts each remainder q of
-    the walk mod d1 by j/d0, i.e. q/d + j/d0 = (q + j*d1)/d for j < d0;
-    with the q ascending and q < d1, A2 comes out sorted.
+    A1 is the remainder walk of x itself, sorted in place, and A2 shifts
+    each remainder q of the walk mod d1 by j/d0, i.e.
+    q/d + j/d0 = (q + j*d1)/d for j < d0; with the q ascending and q < d1,
+    A2 comes out sorted, and is compared with A1 element by element a
+    block at a time, never built whole.
 
     Requires den(x) composed of the profile's primes (hence coprime to the
     base). Raises InvariantError if the two constructions disagree; that
@@ -183,24 +218,23 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
     split = split_denominator(profile, d)
     order = _order_of_split(profile, split)
 
-    rems, preperiod = _remainder_walk(profile.base, x.numerator, d)
+    a1, preperiod = _remainder_walk(profile.base, x.numerator, d)
     if preperiod != 0:
         raise InvariantError(f"orbit of {frac_str(x)} not purely periodic")
-    a1 = sorted(rems)
+    a1.sort()
 
     d0, d1 = split.d0, split.d1
     inner, _ = _remainder_walk(profile.base, x.numerator % d1, d1)
     inner.sort()
-    a2 = [q + j * d1 for j in range(d0) for q in inner]
 
     if len(a1) != order:
         raise InvariantError(
             f"orbit length {len(a1)} != closed-form order {order} for {frac_str(x)}"
         )
-    if a1 != a2:
+    if not _is_coset_union(a1, inner, d0, d1):
         raise InvariantError(f"A1 != A2 for base {profile.base}, x = {frac_str(x)}")
     return OrbitDecomposition(
-        base=profile.base, start=x, split=split, order=order, remainders=tuple(a1)
+        base=profile.base, start=x, split=split, order=order, remainders=a1
     )
 
 

@@ -15,13 +15,14 @@ one step too early.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
 from .numtheory import (
     Factorization,
+    factorize,
     group_exponent_factored,
     is_prime,
     mult_order_fast,
@@ -65,11 +66,14 @@ def cap_exponent(p: int, stable: Mapping[int, tuple[int, int]]) -> int:
 
 @dataclass(frozen=True)
 class PrimeOrderStats:
-    """Per-prime order data: stabilization exponent, cap, and ord at stabilization."""
+    """Per-prime order data: stabilization exponent, cap, and ord at
+    stabilization, with the factored p - 1 when known (build_profile keeps
+    it, so no order over the profile factors it again)."""
 
     stable_exp: int
     cap_exp: int
     order_at_stable: int
+    p_minus_1: Factorization | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.stable_exp <= self.cap_exp:
@@ -149,19 +153,22 @@ def build_profile(base: int, primes: Iterable[int]) -> OrderProfile:
 
     ord(base, p^n) at each stabilization exponent n comes from
     mult_order_fast over the factored exponent of the unit group mod p^n, so
-    a prime near 1e9 costs a factorization of p - 1, not O(p) steps. The
+    a prime near 1e9 costs a factorization of p - 1, not O(p) steps; each
+    record keeps that factorization for the orders over the profile. The
     brute-force order stays the oracle it is checked against (the `order`
     command below 10^6, `verify` and the tests). stabilization_exponent
     rejects a base below 2, a non-prime and a prime dividing the base, and
     OrderProfile an empty prime set.
     """
     stable: dict[int, tuple[int, int]] = {}
+    p_minus_1: dict[int, Factorization] = {}
     for p in sorted(set(primes)):
         n_p = stabilization_exponent(base, p)
-        lam = group_exponent_factored(Factorization(p**n_p, ((p, n_p),)))
+        p_minus_1[p] = factorize(p - 1)
+        lam = group_exponent_factored(Factorization(p**n_p, ((p, n_p),)), p_minus_1)
         stable[p] = (n_p, mult_order_fast(base, p**n_p, lam))
     records = tuple(
-        (p, PrimeOrderStats(n_p, cap_exponent(p, stable), ord_p))
+        (p, PrimeOrderStats(n_p, cap_exponent(p, stable), ord_p, p_minus_1[p]))
         for p, (n_p, ord_p) in stable.items()
     )
     return OrderProfile(base=base, records=records)
@@ -212,11 +219,16 @@ def order_from_profile(profile: OrderProfile, exponents: Mapping[int, int]) -> i
 
 
 def _order_of_split(profile: OrderProfile, split: DenominatorSplit) -> int:
-    """ord(base, d0 * d1) = d0 * ord(base, d1) for a split over the profile."""
+    """ord(base, d0 * d1) = d0 * ord(base, d1) for a split over the profile;
+    lambda(d1) comes from the profile's factored p - 1, with no new
+    factorization."""
     if split.d1 == 1:
         return split.d0
     d1_factors = tuple(
         (p, vp(split.d1, p)) for p in profile.primes if split.d1 % p == 0
     )
-    lam = group_exponent_factored(Factorization(value=split.d1, factors=d1_factors))
+    lam = group_exponent_factored(
+        Factorization(value=split.d1, factors=d1_factors),
+        {p: st.p_minus_1 for p, st in profile.records},
+    )
     return split.d0 * mult_order_fast(profile.base, split.d1, lam)

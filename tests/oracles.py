@@ -108,6 +108,51 @@ def orbit_oracle(base: int, x: Fraction) -> tuple[list[Fraction], int]:
     return points, seen[x]
 
 
+def _compact_json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def orbit_record_json(
+    base: int, start: Fraction, points: list[Fraction], preperiod: int
+) -> str:
+    """An `orbit` record, without its newline, by json.dumps over the
+    Fraction points (str of a Fraction is "a/d", or "a" when d = 1)."""
+    return _compact_json(
+        {
+            "base": base,
+            "start": str(start),
+            "points": [str(p) for p in points],
+            "preperiod": preperiod,
+            "period": len(points) - preperiod,
+        }
+    )
+
+
+def decompose_record_json(
+    base: int,
+    start: Fraction,
+    d0: int,
+    d1: int,
+    order: int,
+    a1: list[Fraction],
+    a2: list[Fraction],
+) -> str:
+    """An `orbit --decompose` record, without its newline, by json.dumps
+    over the Fraction lists a1 and a2."""
+    return _compact_json(
+        {
+            "base": base,
+            "fraction": str(start),
+            "d0": d0,
+            "d1": d1,
+            "order": order,
+            "a1": [str(p) for p in a1],
+            "a2": [str(p) for p in a2],
+            "a1_equals_a2": a1 == a2,
+        }
+    )
+
+
 def remainder_walk_oracle(base: int, num: int, den: int, good=None):
     """Remainders num, b*num mod den, ... up to the first repeat, kept in a
     dict that finds the repeat, and the index where the cycle starts; with a

@@ -23,7 +23,13 @@ from timesb.orders import build_profile, split_denominator
 from timesb.rational import frac_str
 from timesb.sieve import members_up_to
 
-from oracles import coprime_part, orbit_oracle, witness_oracle
+from oracles import (
+    coprime_part,
+    decompose_record_json,
+    orbit_oracle,
+    orbit_record_json,
+    witness_oracle,
+)
 
 # the submodule: timesb.orbit, the package attribute, is the function
 orbit_module = importlib.import_module("timesb.orbit")
@@ -154,31 +160,14 @@ _ORBIT_CASES = _seeded_orbit_cases()
 
 
 def _orbit_stdout_reference(b, x, primes):
-    # the record of every point as frac_str(Fraction(r, d)), from the
-    # Fraction orbit oracle, printed as _emit prints any record
+    # the record of every point from the Fraction orbit oracle, written by
+    # json.dumps
     points, cut = orbit_oracle(b, x)
     if primes is None:
-        rec = {
-            "base": b,
-            "start": frac_str(x),
-            "points": [frac_str(p) for p in points],
-            "preperiod": cut,
-            "period": len(points) - cut,
-        }
-    else:
-        split = split_denominator(build_profile(b, primes), factorize(x.denominator))
-        a1 = [frac_str(p) for p in sorted(points)]
-        rec = {
-            "base": b,
-            "fraction": frac_str(x),
-            "d0": split.d0,
-            "d1": split.d1,
-            "order": len(points),
-            "a1": a1,
-            "a2": a1,
-            "a1_equals_a2": True,
-        }
-    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+        return orbit_record_json(b, x, points, cut) + "\n"
+    split = split_denominator(build_profile(b, primes), factorize(x.denominator))
+    a1 = sorted(points)
+    return decompose_record_json(b, x, split.d0, split.d1, len(points), a1, a1) + "\n"
 
 
 def _orbit_stdout_mismatches(capsys, cases):
@@ -470,6 +459,12 @@ _MEMBER = ("member", "--base", "3", "--digits", "0,2", "--frac", "1/4")
         (_MEMBER, True),
         # about 160 KB, so the buffer is written inside the command
         (("enumerate", "--base", "3", "--digits", "0,2", "--max-den", "3000"), False),
+        # orbit records of 1.8 and 3.6 MB, written in blocks of 4096 points
+        (("orbit", "--base", "2", "--frac", "1/177147"), False),
+        (
+            ("orbit", "--base", "2", "--frac", "1/177147", "--decompose", "--primes", "3"),
+            False,
+        ),
     ],
 )
 def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):

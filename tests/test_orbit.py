@@ -1,6 +1,8 @@
 import importlib
 import json
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from timesb.errors import InvariantError, PreconditionError
 from timesb.numtheory import mult_order_bruteforce
 from timesb.orbit import (
+    _points_json,
     _remainder_walk,
     cover_radius,
     decompose,
@@ -23,8 +26,11 @@ from timesb.orders import build_profile
 from oracles import (
     coprime_part,
     cover_radius_oracle,
+    decompose_record_json,
     orbit_oracle,
+    orbit_record_json,
     remainder_walk_oracle,
+    split_oracle,
 )
 
 F = Fraction
@@ -65,7 +71,7 @@ def test_orbit_examples():
 
 
 def test_orbit_json_round():
-    d = json.loads(orbit(2, F(1, 12)).to_json())
+    d = json.loads("".join(orbit(2, F(1, 12)).json_chunks()))
     assert d["points"] == ["1/12", "1/6", "1/3", "2/3"]
     assert d["preperiod"] == 2 and d["period"] == 2
 
@@ -129,7 +135,47 @@ def test_decompose_examples():
     dec = decompose(prof35, F(1, 160))
     assert dec.split.d0 == 2
     assert dec.order == mult_order_bruteforce(3, 160)
-    assert json.loads(dec.to_json())["a1_equals_a2"] is True
+    assert json.loads("".join(dec.json_chunks()))["a1_equals_a2"] is True
+
+
+@pytest.mark.parametrize(
+    "base, x",
+    # 13122 points over four blocks; transient points with their own gcds
+    # (1/12 -> 5/6 -> 1/3 in base 10); the cycle (0)
+    [(2, F(1, 3**9)), (2, F(5, 24)), (10, F(1, 12)), (2, F(0))],
+)
+def test_orbit_json_chunks_match_json_dumps(base, x):
+    points, cut = orbit_oracle(base, x)
+    want = orbit_record_json(base, x, points, cut) + "\n"
+    assert "".join(orbit(base, x).json_chunks()) == want
+
+
+@pytest.mark.parametrize(
+    "primes, x",
+    # d0 = 6561 shifts of an inner walk of 2 points; the cycle (0); d0 = 3
+    # shifts of an inner walk of 4098 points mod 9 * 4099, longer than a block
+    [([3], F(1, 3**9)), ([3], F(0)), ([3, 4099], F(5, 27 * 4099))],
+)
+def test_decompose_json_chunks_match_json_dumps(primes, x):
+    # a2 by the coset construction over Fractions: each point y of the
+    # orbit of (a mod d1)/d1 gives the points (y + j)/d0 for j < d0
+    prof = build_profile(2, primes)
+    d0, d1 = split_oracle(x.denominator, {p: prof.stats(p).cap_exp for p in primes})
+    a1 = sorted(orbit_oracle(2, x)[0])
+    inner = orbit_oracle(2, F(x.numerator % d1, d1))[0]
+    a2 = sorted((y + j) / d0 for j in range(d0) for y in inner)
+    want = decompose_record_json(2, x, d0, d1, len(a1), a1, a2) + "\n"
+    assert "".join(decompose(prof, x).json_chunks()) == want
+
+
+def test_points_json_blocks():
+    # 13122 cycle points in blocks of at most _BLOCK, "[" on the first and
+    # "]" alone at the end
+    rems, cut = _remainder_walk(2, 1, 3**9)
+    blocks = list(_points_json(rems, 3**9, cut))
+    assert [b.count("/") for b in blocks] == [4096, 4096, 4096, 834, 0]
+    assert orbit_module._BLOCK == 4096
+    assert blocks[0].startswith('["1/') and blocks[-1] == "]"
 
 
 def _inner_walk_shifted(real):
@@ -145,20 +191,34 @@ def _inner_walk_shifted(real):
     return walk
 
 
+def _largest_remainder_raised(real):
+    # the walk over 3^9 with its largest remainder moved on by one: the same
+    # length, and a mismatch only in the last compare block
+    def walk(base, num, den, good=None):
+        rems, cut = real(base, num, den, good)
+        if den == 3**9:
+            rems[rems.index(max(rems))] += 1
+        return rems, cut
+
+    return walk
+
+
 @pytest.mark.parametrize(
     "name, broken, message",
     [
         ("_remainder_walk", lambda real: lambda *a: (real(*a)[0], 1), "not purely"),
         ("_order_of_split", lambda real: lambda *a: real(*a) + 1, "closed-form order"),
         ("_remainder_walk", _inner_walk_shifted, "A1 != A2"),
+        ("_remainder_walk", _largest_remainder_raised, "A1 != A2"),
     ],
 )
 def test_decompose_checks_raise(monkeypatch, name, broken, message):
     # each of the three checks (the walk closes, |A1| = order, A1 = A2)
-    # turns a broken input into an InvariantError
+    # turns a broken input into an InvariantError; 1/3^9 has 13122 points,
+    # so A1 = A2 is compared over several blocks
     monkeypatch.setattr(orbit_module, name, broken(getattr(orbit_module, name)))
     with pytest.raises(InvariantError, match=message):
-        decompose(build_profile(2, [3]), F(1, 9))
+        decompose(build_profile(2, [3]), F(1, 3**9))
 
 
 def test_decompose_rejects_shared_factor():
@@ -257,3 +317,29 @@ def test_effective_density_small_case():
             rep = density_report(orbit(2, F(a, d)).points, F(1, 6))
             assert rep.is_dense
     assert not density_report(orbit(2, F(1, 3)).points, F(1, 6)).is_dense
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_orbit_records_hold_bounded_memory():
+    # the orbit and decompose records of 1/3^11 (118098 points) are written
+    # a block at a time, and A1 = A2 is checked without a second list
+    x = F(1, 3**11)
+    prof = build_profile(2, [3])
+    info = orbit(2, x)
+    built = []
+    build_peak = _traced_peak(lambda: built.append(decompose(prof, x)))
+    with open(os.devnull, "w") as sink:
+        orbit_peak = _traced_peak(lambda: sink.writelines(info.json_chunks()))
+        decompose_peak = _traced_peak(lambda: sink.writelines(built[0].json_chunks()))
+    MB = 1 << 20
+    assert orbit_peak < 1 * MB
+    assert decompose_peak < 2.5 * MB
+    assert build_peak < 6 * MB

@@ -1,12 +1,16 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timesb import numtheory
 from timesb.errors import PreconditionError
 from timesb.numtheory import factorize, mult_order_bruteforce
+from timesb.orbit import decompose
 from timesb.orders import (
     DenominatorSplit,
     OrderProfile,
@@ -172,6 +176,37 @@ def test_order_from_profile_examples():
         order_from_profile(prof35, {7: 1})
     with pytest.raises(PreconditionError):
         order_from_profile(prof35, {2: -1})
+
+
+def test_orders_over_a_profile_factor_nothing(monkeypatch):
+    # build_profile keeps each prime's factored p - 1, so neither an order
+    # over the profile nor decompose factors anything again
+    prof = build_profile(2, [1000000007, 3])
+    prof3 = build_profile(2, [3])
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    real = numtheory.factorize
+    for name, module in list(sys.modules.items()):
+        if name.startswith("timesb") and getattr(module, "factorize", None) is real:
+            monkeypatch.setattr(module, "factorize", counted)
+    assert order_from_profile(prof, {1000000007: 1, 3: 2}) == 3000000018
+    assert decompose(prof3, Fraction(1, 177147)).order == 118098
+    assert calls == []
+    # a profile built from the positional stats alone factors p - 1 on use
+    bare = OrderProfile(
+        base=2,
+        records=tuple(
+            (p, PrimeOrderStats(st.stable_exp, st.cap_exp, st.order_at_stable))
+            for p, st in prof.records
+        ),
+    )
+    assert bare == prof
+    assert order_from_profile(bare, {1000000007: 1, 3: 2}) == 3000000018
+    assert sorted(calls) == [2, 1000000006]
 
 
 def test_order_formula_matches_bruteforce_seeded():
