@@ -287,34 +287,21 @@ def unit_group_exponent(p: int, n: int) -> int:
     return (p - 1) * p ** (n - 1)
 
 
-def _factor_over(n: int, primes: tuple[int, ...]) -> Factorization:
-    """n >= 1 factored over the given increasing primes; Factorization
-    raises when they do not cover n."""
-    factors, rest = [], n
-    for q in primes:
-        e = 0
-        while rest % q == 0:
-            rest //= q
-            e += 1
-        if e:
-            factors.append((q, e))
-    return Factorization(n, tuple(factors))
-
-
 def group_exponent_factored(
     fact: Factorization, p_minus_1: Mapping[int, Factorization | None] | None = None
 ) -> dict[int, int]:
     """Factored exponent of the unit group mod fact.value (Carmichael lambda).
 
-    p_minus_1 may map a prime p of fact to the factored p - 1; that p's
-    unit_group_exponent is then split over the primes of p - 1 and p, and
-    not factorized."""
+    Each p's unit_group_exponent divides (p - 1) * p^n, so it is split over
+    the primes of p - 1 and p; p_minus_1 may map p to the factored p - 1,
+    which is factorized only when not given."""
     lam: dict[int, int] = {}
     for p, n in fact:
         k = unit_group_exponent(p, n)
         known = p_minus_1.get(p) if p_minus_1 else None
-        parts = factorize(k) if known is None else _factor_over(k, (*known.primes, p))
-        for q, e in parts:
+        primes = (*(known or factorize(p - 1)).primes, p)
+        parts = tuple((q, vp(k, q)) for q in primes if k % q == 0)
+        for q, e in Factorization(k, parts):
             if lam.get(q, 0) < e:
                 lam[q] = e
     return lam

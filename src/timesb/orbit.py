@@ -16,8 +16,8 @@ digit expansions in `timesb.cantor`. An orbit keeps the walk's list of
 remainders and nothing else of its size: its JSON record is written in text
 blocks of at most `_BLOCK` points, with one gcd per run of points sharing a
 reduced denominator (each transient point, then the whole cycle), and
-`decompose` checks A1 = A2 against the coset construction a block at a
-time. `Fraction`s are built only when asked for.
+`decompose` checks A1 = A2 against the coset construction as a generator,
+never built. `Fraction`s are built only when asked for.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError, PreconditionError
@@ -65,7 +66,7 @@ def _remainder_walk(
             return rems, mu
 
 
-# points per text block of a JSON record, and elements per block of A2
+# points per text block of a JSON record
 _BLOCK = 4096
 
 
@@ -96,7 +97,9 @@ def _points_json(rems: Sequence[int], den: int, cut: int) -> Iterator[str]:
 @dataclass(frozen=True)
 class OrbitInfo:
     """All points r/den of a forward orbit in first-visit order, kept as
-    their remainders r over den = den(start): the walk's own list."""
+    their remainders r over den = den(start): the walk's own list, which
+    must not be mutated (points caches what it held, and the JSON writer
+    reads it as it is now). Holding a list, the record is not hashable."""
 
     base: int
     start: Fraction
@@ -144,7 +147,9 @@ class OrbitDecomposition:
     a1 is the orbit as iterated; a2 rebuilds it from the capped-part orbit
     plus offsets j/d0. Once they compare equal, both are the sorted
     remainders r of the points r/den(start): the walk's own list, sorted in
-    place, and the only copy of either.
+    place, and the only copy of either. It must not be mutated, since a1, a2
+    and the JSON writer all read it; holding a list, the record is not
+    hashable.
     """
 
     base: int
@@ -177,22 +182,10 @@ class OrbitDecomposition:
 
 def _is_coset_union(a1: list[int], inner: list[int], d0: int, d1: int) -> bool:
     """Whether a1 == [q + j*d1 for j in range(d0) for q in inner], compared
-    element by element with the right side built about _BLOCK elements at a
-    time: several whole shifts j*d1 of a short inner list per block, or one
-    shift in slices of a long one."""
-    n = len(inner)
-    if len(a1) != d0 * n:
-        return False
-    step = max(1, _BLOCK // n)
-    pos = 0
-    for j in range(0, d0, step):
-        for i in range(0, n, _BLOCK):
-            part = inner[i : i + _BLOCK]
-            block = [q + k * d1 for k in range(j, min(j + step, d0)) for q in part]
-            if a1[pos : pos + len(block)] != block:
-                return False
-            pos += len(block)
-    return True
+    element by element against the right side as a generator, never built."""
+    return len(a1) == d0 * len(inner) and all(
+        map(eq, a1, (q + j * d1 for j in range(d0) for q in inner))
+    )
 
 
 def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
@@ -202,8 +195,8 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
     A1 is the remainder walk of x itself, sorted in place, and A2 shifts
     each remainder q of the walk mod d1 by j/d0, i.e.
     q/d + j/d0 = (q + j*d1)/d for j < d0; with the q ascending and q < d1,
-    A2 comes out sorted, and is compared with A1 element by element a
-    block at a time, never built whole.
+    A2 comes out sorted, and is compared with A1 element by element as a
+    generator, never built.
 
     Requires den(x) composed of the profile's primes (hence coprime to the
     base). Raises InvariantError if the two constructions disagree; that

@@ -193,7 +193,7 @@ def _inner_walk_shifted(real):
 
 def _largest_remainder_raised(real):
     # the walk over 3^9 with its largest remainder moved on by one: the same
-    # length, and a mismatch only in the last compare block
+    # length, and a mismatch only at the last of its 13122 sorted elements
     def walk(base, num, den, good=None):
         rems, cut = real(base, num, den, good)
         if den == 3**9:
@@ -215,10 +215,19 @@ def _largest_remainder_raised(real):
 def test_decompose_checks_raise(monkeypatch, name, broken, message):
     # each of the three checks (the walk closes, |A1| = order, A1 = A2)
     # turns a broken input into an InvariantError; 1/3^9 has 13122 points,
-    # so A1 = A2 is compared over several blocks
+    # and A1 = A2 is compared over all of them
     monkeypatch.setattr(orbit_module, name, broken(getattr(orbit_module, name)))
     with pytest.raises(InvariantError, match=message):
         decompose(build_profile(2, [3]), F(1, 3**9))
+
+
+def test_records_hold_the_walks_list_and_are_not_hashable():
+    # both records keep the walk's own list of remainders, not a tuple copy
+    # of it, which costs them their hash
+    for record in (orbit(2, F(1, 9)), decompose(build_profile(2, [3]), F(1, 9))):
+        assert type(record.remainders) is list
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
 
 
 def test_decompose_rejects_shared_factor():
