@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvariantError, PreconditionError
 from .numtheory import factorize
-from .orbit import _remainder_walk, density_bound
+from .orbit import _remainder_list, density_bound
 from .orders import OrderProfile
 from .rational import frac_str
 from .sieve import _BUDGET, _by_value, _leaf_members, _orbits, members_up_to
@@ -235,7 +235,7 @@ def expand(base: int, x: Fraction) -> ExpansionInfo:
     if x < 0 or x >= 1:
         raise PreconditionError(f"{frac_str(x)} outside [0,1)")
     den = x.denominator
-    rems, cut = _remainder_walk(base, x.numerator, den)
+    rems, cut = _remainder_list(base, x.numerator, den)
     digits = [base * r // den for r in rems]
     return ExpansionInfo(
         base=base, preperiod=tuple(digits[:cut]), period=tuple(digits[cut:])
@@ -267,7 +267,7 @@ def _witness_digits(ds: DigitSet, num: int, den: int) -> tuple[list, list] | Non
     # a den with a prime outside the base's divides no power of b: then the
     # greedy expansion is the only one and the walk stops at its first bad digit
     stop = good if pow(b, den.bit_length(), den) else None
-    rems, cut = _remainder_walk(b, num, den, stop)
+    rems, cut = _remainder_list(b, num, den, stop)
     if cut is None:
         return None
     digits = [b * r // den for r in rems]

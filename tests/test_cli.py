@@ -187,22 +187,42 @@ def test_orbit_stdout_matches_per_point_route(capsys):
 
 
 def test_orbit_stdout_check_catches_a_walk_one_step_short(capsys, monkeypatch):
-    # the mutation the check above must see; orbits with a one-point cycle
-    # would lose it whole, so they are left out
+    # the mutation the check above must see: every walk, from its first
+    # block to its last, loses its last remainder. One-point cycles lose
+    # theirs whole and are caught too, since the output pass counts the
+    # points it writes
     real = orbit_module._remainder_walk
 
     def short(*args):
-        rems, cut = real(*args)
-        return rems[:-1], cut
+        blocks = list(real(*args))
+        blocks[-1] = blocks[-1][:-1]
+        yield from blocks
 
-    def period(case):
-        points, cut = orbit_oracle(case[0], Fraction(case[1]))
-        return len(points) - cut
-
-    cases = [c for c in _ORBIT_CASES if period(c) > 1]
     monkeypatch.setattr(orbit_module, "_remainder_walk", short)
-    assert len(cases) > 100
-    assert len(_orbit_stdout_mismatches(capsys, cases)) == len(cases)
+    assert len(_orbit_stdout_mismatches(capsys, _ORBIT_CASES)) == len(_ORBIT_CASES)
+
+
+# walks that end on a block edge or one point either side of it: a cycle
+# of 16 blocks of 4096, cycles of 4097 and 4095 points, the second also
+# behind a two-point transient (4097 points in all), 70 transient points
+# over 3 * 2^70 (past int64), decompositions with d0 = 1 (d1 = d: the walk
+# mod d1 is A1 itself), and 0
+_BLOCK_EDGE_CASES = [
+    (3, "1/65537", None),
+    (3, "1/65537", [65537]),
+    (2, f"1/{131071 * 22000409}", None),
+    (11, "1/8191", None),
+    (11, f"1/{11**2 * 8191}", None),
+    (2, "1/3541774862152233910272", None),
+    (2, "1/100003", [100003]),
+    (11, "1/8191", [8191]),
+    (2, "0", None),
+    (2, "0", [3]),
+]
+
+
+def test_orbit_stdout_at_block_edges(capsys):
+    assert _orbit_stdout_mismatches(capsys, _BLOCK_EDGE_CASES) == []
 
 
 def test_orbit_layer_stdout_matches_benchmark_digests(capsys):

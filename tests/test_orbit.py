@@ -4,6 +4,7 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from timesb.errors import InvariantError, PreconditionError
 from timesb.numtheory import mult_order_bruteforce
 from timesb.orbit import (
     _points_json,
+    _remainder_list,
     _remainder_walk,
     cover_radius,
     decompose,
@@ -48,7 +50,7 @@ def test_remainder_walk_matches_dict_walk(base):
         for a in range(d):
             for good in tables:
                 want = remainder_walk_oracle(base, a, d, good)
-                assert _remainder_walk(base, a, d, good) == want, (a, d, good)
+                assert _remainder_list(base, a, d, good) == want, (a, d, good)
 
 
 def test_orbit_examples():
@@ -170,35 +172,46 @@ def test_decompose_json_chunks_match_json_dumps(primes, x):
 
 def test_points_json_blocks():
     # 13122 cycle points in blocks of at most _BLOCK, "[" on the first and
-    # "]" alone at the end
-    rems, cut = _remainder_walk(2, 1, 3**9)
-    blocks = list(_points_json(rems, 3**9, cut))
+    # "]" alone at the end; a walk that gives other than the count raises
+    blocks = list(_points_json(_remainder_walk(2, 1, 3**9), 3**9, 0, 13122))
     assert [b.count("/") for b in blocks] == [4096, 4096, 4096, 834, 0]
     assert orbit_module._BLOCK == 4096
     assert blocks[0].startswith('["1/') and blocks[-1] == "]"
+    for count in (13121, 13123):
+        with pytest.raises(InvariantError, match=f"wrote 13122 points, not {count}"):
+            list(_points_json(_remainder_walk(2, 1, 3**9), 3**9, 0, count))
 
 
 def _inner_walk_shifted(real):
-    # the walk, with every remainder of its second call (the walk mod d1
-    # in decompose) moved on by one
-    calls = []
-
+    # the walk mod d1 = 3 (not the walk of x over 3^9) with every remainder
+    # moved on by one
     def walk(base, num, den, good=None):
-        calls.append(den)
-        rems, cut = real(base, num, den, good)
-        return (rems if len(calls) == 1 else [(r + 1) % den for r in rems]), cut
+        for block in real(base, num, den, good):
+            yield block if den == 3**9 else [(r + 1) % den for r in block]
 
     return walk
 
 
 def _largest_remainder_raised(real):
     # the walk over 3^9 with its largest remainder moved on by one: the same
-    # length, and a mismatch only at the last of its 13122 sorted elements
+    # length, and one point outside A2
     def walk(base, num, den, good=None):
-        rems, cut = real(base, num, den, good)
+        rems = list(chain.from_iterable(real(base, num, den, good)))
         if den == 3**9:
             rems[rems.index(max(rems))] += 1
-        return rems, cut
+        yield rems
+
+    return walk
+
+
+def _point_repeated(real):
+    # the walk over 3^9 with its last remainder replaced by its first: the
+    # same length, one point of A2 taken twice and another not at all
+    def walk(base, num, den, good=None):
+        rems = list(chain.from_iterable(real(base, num, den, good)))
+        if den == 3**9:
+            rems[-1] = rems[0]
+        yield rems
 
     return walk
 
@@ -206,28 +219,50 @@ def _largest_remainder_raised(real):
 @pytest.mark.parametrize(
     "name, broken, message",
     [
-        ("_remainder_walk", lambda real: lambda *a: (real(*a)[0], 1), "not purely"),
+        ("_cycle_start", lambda real: lambda *a: (1, real(*a)[1]), "not purely"),
         ("_order_of_split", lambda real: lambda *a: real(*a) + 1, "closed-form order"),
         ("_remainder_walk", _inner_walk_shifted, "A1 != A2"),
         ("_remainder_walk", _largest_remainder_raised, "A1 != A2"),
+        ("_remainder_walk", _point_repeated, "A1 != A2"),
     ],
 )
 def test_decompose_checks_raise(monkeypatch, name, broken, message):
-    # each of the three checks (the walk closes, |A1| = order, A1 = A2)
+    # each of the three checks (the walk of x starts on its cycle,
+    # d0 * |inner| = order, each point of A1 takes its own point of A2)
     # turns a broken input into an InvariantError; 1/3^9 has 13122 points,
-    # and A1 = A2 is compared over all of them
+    # d0 = 6561 and d1 = 3, and A1 is streamed past all of A2's slots
     monkeypatch.setattr(orbit_module, name, broken(getattr(orbit_module, name)))
     with pytest.raises(InvariantError, match=message):
         decompose(build_profile(2, [3]), F(1, 3**9))
 
 
-def test_records_hold_the_walks_list_and_are_not_hashable():
-    # both records keep the walk's own list of remainders, not a tuple copy
-    # of it, which costs them their hash
-    for record in (orbit(2, F(1, 9)), decompose(build_profile(2, [3]), F(1, 9))):
-        assert type(record.remainders) is list
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
+def test_decompose_walks_once_when_d0_is_1(monkeypatch):
+    # d0 = 1 makes d1 = d, so the walk mod d1 is A1 itself: one walk of
+    # 100002 points, not that walk and then the same one again
+    real = orbit_module._remainder_walk
+    walks = []
+
+    def counted(*args):
+        walks.append(0)
+        for block in real(*args):
+            walks[-1] += len(block)
+            yield block
+
+    monkeypatch.setattr(orbit_module, "_remainder_walk", counted)
+    dec = decompose(build_profile(2, [100003]), F(1, 100003))
+    assert (dec.split.d0, dec.order) == (1, 100002)
+    assert walks == [100002]
+
+
+def test_equal_records_hash_equal():
+    # both records are frozen dataclasses of ints, Fractions, a split and a
+    # tuple, so two built alike are equal, hash equal and share a set slot
+    prof = build_profile(2, [3])
+    for make in (lambda: orbit(2, F(1, 9)), lambda: decompose(prof, F(1, 9))):
+        one, two = make(), make()
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+    assert decompose(prof, F(1, 9)).inner == (1, 2)
 
 
 def test_decompose_rejects_shared_factor():
@@ -338,17 +373,18 @@ def _traced_peak(fn) -> int:
 
 
 def test_orbit_records_hold_bounded_memory():
-    # the orbit and decompose records of 1/3^11 (118098 points) are written
-    # a block at a time, and A1 = A2 is checked without a second list
-    x = F(1, 3**11)
-    prof = build_profile(2, [3])
-    info = orbit(2, x)
-    built = []
-    build_peak = _traced_peak(lambda: built.append(decompose(prof, x)))
-    with open(os.devnull, "w") as sink:
-        orbit_peak = _traced_peak(lambda: sink.writelines(info.json_chunks()))
-        decompose_peak = _traced_peak(lambda: sink.writelines(built[0].json_chunks()))
+    # building and writing either record holds no orbit-sized list or text:
+    # at 1/3^11 (118098 points) and at 1/3^13 (1062882) alike, the traced
+    # peak stays under 1 MB, plus decompose's slot marks of order bytes
     MB = 1 << 20
-    assert orbit_peak < 1 * MB
-    assert decompose_peak < 2.5 * MB
-    assert build_peak < 6 * MB
+    prof = build_profile(2, [3])
+    with open(os.devnull, "w") as sink:
+        for k in (11, 13):
+            x = F(1, 3**k)
+            orbit_peak = _traced_peak(lambda: sink.writelines(orbit(2, x).json_chunks()))
+            decompose_peak = _traced_peak(
+                lambda: sink.writelines(decompose(prof, x).json_chunks())
+            )
+            order = 2 * 3 ** (k - 1)
+            assert orbit_peak < MB, (k, orbit_peak)
+            assert decompose_peak < MB + order, (k, decompose_peak)

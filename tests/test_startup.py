@@ -1,8 +1,9 @@
 """Start-up cost: the commands that never reach the sieve, the walk or the
 bounds stream run without importing numpy, no command imports a process
 pool, the orbit layer's commands run no code of the Cantor-set, sieve or
-bounds layers, numpy starts no OpenBLAS threads, and a worker forked right
-after numpy's first import gives the same bytes as no worker."""
+bounds layers and hold no orbit-sized memory, numpy starts no OpenBLAS
+threads, and a worker forked right after numpy's first import gives the
+same bytes as no worker."""
 
 import os
 import subprocess
@@ -68,6 +69,48 @@ def test_exact_commands_import_no_numpy_and_no_pool(argv):
 )
 def test_orbit_layer_commands_run_no_cantor_sieve_or_bounds(argv):
     assert loaded_modules(*argv.split(), watch=LAYERS) == []
+
+
+# starts `python -m timesb argv` from this small process and prints its exit
+# code and peak RSS in KiB: a process that calls exec passes its own peak
+# into the new program's ru_maxrss, so a request started straight from the
+# test runner would report at least the runner's peak
+_RSS_PROBE = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen([sys.executable, '-m', 'timesb', *sys.argv[1:]],\n"
+    "                         stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def peak_rss_kib(argv: str) -> int:
+    """The least ru_maxrss of two fresh runs of argv."""
+    peaks = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RSS_PROBE, *argv.split()],
+            capture_output=True, text=True, env=ENV, timeout=60,
+        )
+        code, kib = proc.stdout.split()
+        assert code == "0", proc.stderr
+        peaks.append(int(kib))
+    return min(peaks)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "orbit --base 2 --frac 1/177147",
+        "orbit --base 2 --frac 1/177147 --decompose --primes 3",
+    ],
+)
+def test_orbit_peaks_within_1mb_of_a_request_without_work(argv):
+    # 118098 points, 1.8 and 3.6 MB of JSON, written with no orbit-sized
+    # list or text held
+    idle = peak_rss_kib("order --base 2 --modulus 243")
+    assert peak_rss_kib(argv) - idle < 1024
 
 
 def test_profile_runs_neither_cantor_nor_sieve():
