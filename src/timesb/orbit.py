@@ -12,16 +12,17 @@ capped-part orbit shifted by multiples of 1/d0), which is what makes the
 effective density bound D work.
 
 One private walk, `_remainder_walk`, serves `orbit`, `decompose` and the
-digit expansions in `timesb.cantor`; it hands its remainders out in lists
-of at most `_BLOCK`, and no record holds an orbit-sized list or text. An
-orbit is its preperiod, from the gcd rule, and its period, from a counting
-pass round the cycle that stores nothing. Its JSON record is written from a
+digit expansions in `timesb.cantor`, and hands its remainders out in lists
+of at most `_BLOCK`; neither command holds its whole text. An orbit is its
+preperiod, from the gcd rule, and its period, from a counting pass round
+the cycle that stores nothing. Its JSON record is written from a
 second walk a block at a time, with one gcd per run of points sharing a
 reduced denominator (each transient point, then the whole cycle), and that
 pass checks that it wrote preperiod + period points. `decompose` keeps only
-the sorted walk mod d1, bounded by the profile's cap modulus and not by d;
-it streams the walk of a/d once, each point taking its own slot of A2 in a
-bytearray, and writes A1 = A2 block by block from the coset construction.
+the sorted walk mod d1, bounded by the profile's cap modulus and not by d
+(it is the whole orbit only when d0 = 1, and then A1 itself); it streams
+the walk of a/d once, each point taking its own slot of A2 in a bytearray,
+and writes A1 = A2 block by block from the coset construction.
 Points, cycles and the lists a1 and a2 are walked again, and their
 `Fraction`s built, only when asked for.
 """
@@ -161,7 +162,7 @@ class OrbitInfo:
     @property
     def points(self) -> tuple[Fraction, ...]:
         den = self.start.denominator
-        return tuple(Fraction(r, den) for r in self.remainders)
+        return tuple(Fraction(r, den) for r in chain.from_iterable(self._blocks()))
 
     @property
     def cycle(self) -> tuple[Fraction, ...]:
