@@ -15,12 +15,12 @@ exact work (membership, enumeration) happens elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, log, sqrt
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ._record import record
 from .errors import InvariantError, PreconditionError
 from .numtheory import largest_prime, radical
 from .orders import OrderProfile
@@ -34,7 +34,7 @@ BRANCH_SMALL = "P<b"
 REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """One member's empirical constants.
 
@@ -172,7 +172,7 @@ def aggregate_constants(reports: Iterable[BoundReport]) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@record
 class GrowthRow:
     """Slack of one prime's stabilization data against its a-priori caps."""
 

@@ -51,12 +51,12 @@ tests' oracles) and gives the same digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from ._record import record
 from .errors import InvariantError, PreconditionError
 from .numtheory import factorize
 from .orbit import _remainder_list, density_bound
@@ -68,7 +68,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@record
 class DigitSet:
     """A base together with the allowed digit subset."""
 
@@ -190,7 +190,7 @@ def longest_missing_interval(ds: DigitSet) -> tuple[Fraction, Fraction]:
     return best_mid, best_len / 2
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionInfo:
     """Canonical eventually periodic expansion: minimal preperiod, then the
     shortest period. Terminating values carry period (0,)."""
@@ -453,7 +453,7 @@ def smooth_denominators(primes: Iterable[int], limit: int) -> list[int]:
     return sorted(vals)
 
 
-@dataclass(frozen=True)
+@record
 class SIntegerCertificate:
     """Exhaustive list of members with S-smooth denominator, plus the reason
     no larger denominator can occur."""
@@ -598,7 +598,7 @@ def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]
     return [Fraction(n, d) for n, d in rows]
 
 
-@dataclass(frozen=True)
+@record
 class CountReport:
     """Member counts below a denominator bound, both endpoint conventions.
 

@@ -9,10 +9,10 @@ composites that survive trial division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import Mapping
 
+from ._record import record
 from .errors import InvariantError, PreconditionError
 
 _TRIAL_LIMIT = 10**6
@@ -101,7 +101,7 @@ def _brent_rho(n: int) -> int:
     raise InvariantError(f"rho failed to split {n}")
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """A positive integer together with its prime factorization.
 

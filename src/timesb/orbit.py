@@ -29,12 +29,12 @@ Points, cycles and the lists a1 and a2 are walked again, and their
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from ._record import record
 from .errors import InvariantError, PreconditionError
 from .orders import DenominatorSplit, OrderProfile, _order_of_split, split_denominator
 from .rational import frac_str
@@ -141,7 +141,7 @@ def _points_json(
     yield "]"
 
 
-@dataclass(frozen=True)
+@record
 class OrbitInfo:
     """The forward orbit of start: preperiod points before its cycle and
     period points on it. The points r/den(start) themselves, in first-visit
@@ -229,7 +229,7 @@ def _fills_cosets(
     return seen == size and 0 not in taken
 
 
-@dataclass(frozen=True)
+@record
 class OrbitDecomposition:
     """The two descriptions of a purely periodic orbit, verified equal.
 
@@ -308,7 +308,7 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
     return OrbitDecomposition(base=base, start=x, split=split, order=order, inner=inner)
 
 
-@dataclass(frozen=True)
+@record
 class DensityReport:
     """How well a finite point set fills the closed unit interval."""
 

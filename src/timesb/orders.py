@@ -15,10 +15,10 @@ one step too early.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Iterable, Mapping
 
+from ._record import record
 from .errors import PreconditionError
 from .numtheory import (
     Factorization,
@@ -64,7 +64,7 @@ def cap_exponent(p: int, stable: Mapping[int, tuple[int, int]]) -> int:
     return best
 
 
-@dataclass(frozen=True)
+@record(hidden=("p_minus_1",))
 class PrimeOrderStats:
     """Per-prime order data: stabilization exponent, cap, and ord at
     stabilization, with the factored p - 1 when known (build_profile keeps
@@ -73,7 +73,7 @@ class PrimeOrderStats:
     stable_exp: int
     cap_exp: int
     order_at_stable: int
-    p_minus_1: Factorization | None = field(default=None, compare=False, repr=False)
+    p_minus_1: Factorization | None = None
 
     def __post_init__(self):
         if not 1 <= self.stable_exp <= self.cap_exp:
@@ -84,7 +84,7 @@ class PrimeOrderStats:
             raise PreconditionError("order must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class OrderProfile:
     """Immutable per-prime order structure of a base over a prime set."""
 
@@ -174,7 +174,7 @@ def build_profile(base: int, primes: Iterable[int]) -> OrderProfile:
     return OrderProfile(base=base, records=records)
 
 
-@dataclass(frozen=True)
+@record
 class DenominatorSplit:
     """d = d0 * d1 with d0 the excess above the caps and d1 the capped part."""
 

@@ -1,6 +1,5 @@
 """Empirical constant reports and the growth threshold checks."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, log, prod, sqrt
 
@@ -171,7 +170,12 @@ def test_member_bound_reports_match_bound_report(base, digits, T, eps):
     rows = np.array([(x.numerator, x.denominator) for x in members], dtype=np.int64)
     # a den's rows share its report, made with the den's first num
     got = member_bound_reports(base, eps, rows)
-    assert [replace(r, num=a) for a, r in got] == want
+    # each row's report, rebuilt field by field with the row's own num
+    rebuilt = [
+        type(r)(**{f: a if f == "num" else getattr(r, f) for f in r.__match_args__})
+        for a, r in got
+    ]
+    assert rebuilt == want
     assert len({id(r) for _, r in got}) == len({r.den for _, r in got})
     assert want
 

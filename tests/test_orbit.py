@@ -255,8 +255,8 @@ def test_decompose_walks_once_when_d0_is_1(monkeypatch):
 
 
 def test_equal_records_hash_equal():
-    # both records are frozen dataclasses of ints, Fractions, a split and a
-    # tuple, so two built alike are equal, hash equal and share a set slot
+    # both are frozen records whose fields are ints, Fractions, a split and
+    # a tuple, so two built alike are equal, hash equal and share a set slot
     prof = build_profile(2, [3])
     for make in (lambda: orbit(2, F(1, 9)), lambda: decompose(prof, F(1, 9))):
         one, two = make(), make()

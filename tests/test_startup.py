@@ -1,9 +1,9 @@
 """Start-up cost: the commands that never reach the sieve, the walk or the
-bounds stream run without importing numpy, no command imports a process
-pool, the orbit layer's commands run no code of the Cantor-set, sieve or
-bounds layers and hold no orbit-sized memory, numpy starts no OpenBLAS
-threads, and a worker forked right after numpy's first import gives the
-same bytes as no worker."""
+bounds stream run without importing numpy, `dataclasses` or `inspect`, no
+command imports a process pool, the orbit layer's commands run no code of
+the Cantor-set, sieve or bounds layers and hold no orbit-sized memory,
+numpy starts no OpenBLAS threads, and a worker forked right after numpy's
+first import gives the same bytes as no worker."""
 
 import os
 import subprocess
@@ -17,6 +17,8 @@ from timesb import sieve
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENV = {**os.environ, "PYTHONPATH": SRC}
 HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
+# dataclasses imports inspect, and with it ast, dis and tokenize
+INTROSPECTION = ("dataclasses", "inspect")
 LAYERS = ("timesb.cantor", "timesb.sieve", "timesb.bounds")
 
 # runs cli.main on argv in this fresh interpreter, then prints the exit code
@@ -55,7 +57,7 @@ def loaded_modules(*argv: str, watch=HEAVY) -> list[str]:
     ],
 )
 def test_exact_commands_import_no_numpy_and_no_pool(argv):
-    assert loaded_modules(*argv.split()) == []
+    assert loaded_modules(*argv.split(), watch=HEAVY + INTROSPECTION) == []
 
 
 @pytest.mark.parametrize(
