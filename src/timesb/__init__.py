@@ -25,7 +25,6 @@ _EXPORTS = {
     ),
     "cantor": (
         "DigitSet",
-        "count_members_up_to",
         "count_report",
         "dual_expansion",
         "enumerate_members",
@@ -34,13 +33,12 @@ _EXPORTS = {
         "longest_missing_interval",
         "member",
         "member_witness",
-        "reduced_members_up_to",
         "smooth_denominators",
         "sup_distance",
     ),
     "errors": ("InvariantError", "PreconditionError"),
     "numtheory": ("factorize", "mult_order_bruteforce", "mult_order_fast"),
-    "orbit": ("cover_radius", "decompose", "density_bound", "density_report"),
+    "orbit": ("decompose", "density_bound"),
     "orders": ("build_profile", "order_from_profile", "split_denominator"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

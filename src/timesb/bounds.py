@@ -183,10 +183,6 @@ class GrowthRow:
     cap_cap: float
 
     @property
-    def cap_slack(self) -> float:
-        return self.cap_cap - self.cap_exp
-
-    @property
     def ok(self) -> bool:
         tol = 1 + REL_TOL
         return (

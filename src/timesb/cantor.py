@@ -217,9 +217,6 @@ class ExpansionInfo:
         m = len(self.period)
         return (head + Fraction(tail, b**m - 1)) / b ** len(self.preperiod)
 
-    def all_digits(self) -> frozenset:
-        return frozenset(self.preperiod) | frozenset(self.period)
-
     def to_json_dict(self) -> dict:
         return {"preperiod": list(self.preperiod), "period": list(self.period)}
 
@@ -587,17 +584,6 @@ def _count_coprime_upto(limit: np.ndarray, base: int) -> np.ndarray:
     return total
 
 
-def reduced_members_up_to(ds: DigitSet, T: int, jobs: int = 1) -> list[Fraction]:
-    """All members with reduced denominator <= T, ascending.
-
-    Uses the interval sieve, so it stays output-sensitive at large T; the
-    full digit set is rejected there (everything is a member, enumerating
-    ~0.3*T^2 fractions is pointless).
-    """
-    rows = members_up_to(ds.base, ds.digits, T, jobs).tolist()
-    return [Fraction(n, d) for n, d in rows]
-
-
 @record
 class CountReport:
     """Member counts below a denominator bound, both endpoint conventions.
@@ -703,17 +689,3 @@ def count_report(
         all_without=all_with - int(reps[endpoint].sum()),
     )
 
-
-def count_members_up_to(
-    ds: DigitSet,
-    T: int,
-    reduced_only: bool = True,
-    coprime_to_b_only: bool = False,
-    include_endpoints: bool = True,
-    jobs: int = 1,
-) -> int:
-    """Single count drawn out of a CountReport; see CountReport for meaning."""
-    rep = count_report(ds, T, coprime_to_b_only=coprime_to_b_only, jobs=jobs)
-    if reduced_only:
-        return rep.reduced_with if include_endpoints else rep.reduced_without
-    return rep.all_with if include_endpoints else rep.all_without

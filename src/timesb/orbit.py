@@ -23,15 +23,15 @@ the sorted walk mod d1, bounded by the profile's cap modulus and not by d
 (it is the whole orbit only when d0 = 1, and then A1 itself); it streams
 the walk of a/d once, each point taking its own slot of A2 in a bytearray,
 and writes A1 = A2 block by block from the coset construction.
-Points, cycles and the lists a1 and a2 are walked again, and their
-`Fraction`s built, only when asked for.
+OrbitInfo.points walks the orbit again, and builds its `Fraction`s, only
+when asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
@@ -156,17 +156,9 @@ class OrbitInfo:
         return _remainder_walk(self.base, self.start.numerator, self.start.denominator)
 
     @property
-    def remainders(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(self._blocks()))
-
-    @property
     def points(self) -> tuple[Fraction, ...]:
         den = self.start.denominator
         return tuple(Fraction(r, den) for r in chain.from_iterable(self._blocks()))
-
-    @property
-    def cycle(self) -> tuple[Fraction, ...]:
-        return self.points[self.preperiod :]
 
     def json_chunks(self) -> Iterator[str]:
         """base, period, points (as frac_str), preperiod and start as one
@@ -236,8 +228,8 @@ class OrbitDecomposition:
     A1 is the orbit as iterated; A2 rebuilds it from the orbit mod d1, held
     as inner, its remainders sorted: each q/d1 gives the points
     q/d + j/d0 = (q + j*d1)/d for j < d0. decompose returns a record only
-    once the points of A1 have taken every point of A2, one each, so a1 and
-    a2 are both A2 in ascending order, built from inner when asked for.
+    once the points of A1 have taken every point of A2, one each, so its
+    record writes A2, in ascending order from inner, as both a1 and a2.
     """
 
     base: int
@@ -248,13 +240,6 @@ class OrbitDecomposition:
 
     def _blocks(self) -> Iterator[list[int]]:
         return _coset_blocks(self.inner, self.split.d0, self.split.d1)
-
-    @property
-    def a1(self) -> tuple[Fraction, ...]:
-        den = self.start.denominator
-        return tuple(Fraction(r, den) for r in chain.from_iterable(self._blocks()))
-
-    a2 = a1
 
     def json_chunks(self) -> Iterator[str]:
         """a1 and a2 (as frac_str; the same text, written twice from the
@@ -306,58 +291,6 @@ def decompose(profile: OrderProfile, x: Fraction) -> OrbitDecomposition:
     if d0 > 1 and not _fills_cosets(_remainder_walk(base, a, d), inner, d0, d1):
         raise InvariantError(f"A1 != A2 for base {base}, x = {frac_str(x)}")
     return OrbitDecomposition(base=base, start=x, split=split, order=order, inner=inner)
-
-
-@record
-class DensityReport:
-    """How well a finite point set fills the closed unit interval."""
-
-    points: tuple[Fraction, ...]
-    cover_radius: Fraction
-    epsilon: Fraction
-    is_dense: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "count": len(self.points),
-            "cover_radius": frac_str(self.cover_radius),
-            "epsilon": frac_str(self.epsilon),
-            "is_dense": self.is_dense,
-        }
-
-
-def _cover(points: Iterable[Fraction]) -> tuple[list[int], int, Fraction]:
-    """The distinct points as ascending numerators over their common
-    denominator (for an orbit, the start's denominator), and the cover
-    radius: end gaps count at full length (nothing beyond the interval helps
-    them), interior gaps at half."""
-    pts = list(points)
-    if not pts:
-        raise PreconditionError("cover radius of an empty point set")
-    den = lcm(*{p.denominator for p in pts})
-    nums = sorted({p.numerator * (den // p.denominator) for p in pts})
-    for n in (nums[0], nums[-1]):
-        if not 0 <= n <= den:
-            raise PreconditionError(f"{frac_str(Fraction(n, den))} outside [0,1]")
-    gap = max((b - a for a, b in zip(nums, nums[1:])), default=0)
-    return nums, den, Fraction(max(2 * nums[0], 2 * (den - nums[-1]), gap), 2 * den)
-
-
-def cover_radius(points: Iterable[Fraction]) -> Fraction:
-    """Exact sup over x in [0,1] of the distance from x to the point set."""
-    return _cover(points)[2]
-
-
-def density_report(points: Sequence[Fraction], epsilon: Fraction) -> DensityReport:
-    if epsilon <= 0:
-        raise PreconditionError(f"epsilon must be positive, got {frac_str(epsilon)}")
-    nums, den, radius = _cover(points)
-    return DensityReport(
-        points=tuple(Fraction(n, den) for n in nums),
-        cover_radius=radius,
-        epsilon=epsilon,
-        is_dense=radius <= epsilon,
-    )
 
 
 def density_bound(profile: OrderProfile, epsilon: Fraction) -> Fraction:

@@ -14,7 +14,6 @@ one step too early.
 
 from __future__ import annotations
 
-import json
 from math import gcd, prod
 from typing import Iterable, Mapping
 
@@ -144,9 +143,6 @@ class OrderProfile:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def build_profile(base: int, primes: Iterable[int]) -> OrderProfile:
     """Compute the full order profile of base over the given primes.
@@ -189,11 +185,10 @@ class DenominatorSplit:
             )
 
 
-def split_denominator(profile: OrderProfile, d: int | Factorization) -> DenominatorSplit:
-    """Split d, a product of the profile primes given as an int or a
-    Factorization, as d0 * d1: d1 = gcd(d, cap_modulus) is the part of d
-    under the caps N_p and d0 the excess above them."""
-    d = d.value if isinstance(d, Factorization) else d
+def split_denominator(profile: OrderProfile, d: int) -> DenominatorSplit:
+    """Split d, a product of the profile primes, as d0 * d1:
+    d1 = gcd(d, cap_modulus) is the part of d under the caps N_p and d0 the
+    excess above them."""
     rest, rad = d, prod(profile.primes)
     while rest > 0 and (g := gcd(rest, rad)) > 1:
         rest //= g

@@ -26,13 +26,13 @@ from timesb.cantor import (
     DigitSet,
     enumerate_members,
     member,
-    reduced_members_up_to,
     smooth_denominators,
     sup_distance,
 )
 from timesb.numtheory import factorize, mult_order_bruteforce
-from timesb.orbit import cover_radius, decompose, density_bound, orbit
+from timesb.orbit import decompose, density_bound, orbit
 from timesb.orders import build_profile, order_from_profile
+from timesb.sieve import members_up_to
 
 DATA = Path(__file__).parent / "data"
 
@@ -157,9 +157,13 @@ def test_criterion_5_orbit_set_equality():
         if gcd(a, d) != 1:
             continue
         profile = build_profile(b, factorize(d).primes)
-        rec = decompose(profile, Fraction(a, d))
-        assert rec.a1 == rec.a2
-        assert len(rec.a1) == rec.split.d0 * mult_order_bruteforce(b, rec.split.d1)
+        x = Fraction(a, d)
+        rec = decompose(profile, x)
+        d0, d1 = rec.split.d0, rec.split.d1
+        a1 = sorted(oracles.orbit_oracle(b, x)[0])
+        assert len(a1) == d0 * mult_order_bruteforce(b, d1)
+        want = oracles.decompose_record_json(b, x, d0, d1, len(a1), a1, a1)
+        assert "".join(rec.json_chunks()) == want + "\n"
         trials += 1
     assert time.monotonic() - t0 < 30.0
 
@@ -177,9 +181,9 @@ def test_criterion_6_effective_density():
             if a % 3 == 0:
                 continue
             pts = orbit(2, Fraction(a, m)).points
-            assert cover_radius(pts) <= eps, f"{a}/{m}"
+            assert oracles.cover_radius_oracle(pts) <= eps, f"{a}/{m}"
     witness = orbit(2, Fraction(1, 3))
-    assert cover_radius(witness.points) == Fraction(1, 3)
+    assert oracles.cover_radius_oracle(witness.points) == Fraction(1, 3)
     assert Fraction(1, 3) > eps
 
 
@@ -190,12 +194,11 @@ def test_criterion_7_bounds_golden():
     golden = json.loads((DATA / "bounds_golden.json").read_text())
     eps = Fraction(1, 6)
     ds = DigitSet(3, (0, 2))
-    members = reduced_members_up_to(ds, golden["max_den"])
     rows = []
-    for x in members:
-        if x.denominator == 1 or gcd(x.denominator, ds.base) != 1:
+    for a, d in members_up_to(ds.base, ds.digits, golden["max_den"]).tolist():
+        if d == 1 or gcd(d, ds.base) != 1:
             continue
-        rep = bound_report(ds.base, eps, x)
+        rep = bound_report(ds.base, eps, Fraction(a, d))
         if rep is not None:
             rows.append(rep)
     agg = aggregate_constants(rows)

@@ -165,7 +165,7 @@ def _orbit_stdout_reference(b, x, primes):
     points, cut = orbit_oracle(b, x)
     if primes is None:
         return orbit_record_json(b, x, points, cut) + "\n"
-    split = split_denominator(build_profile(b, primes), factorize(x.denominator))
+    split = split_denominator(build_profile(b, primes), x.denominator)
     a1 = sorted(points)
     return decompose_record_json(b, x, split.d0, split.d1, len(points), a1, a1) + "\n"
 

@@ -17,10 +17,8 @@ from timesb.orbit import (
     _points_json,
     _remainder_list,
     _remainder_walk,
-    cover_radius,
     decompose,
     density_bound,
-    density_report,
     orbit,
 )
 from timesb.orders import build_profile
@@ -61,7 +59,7 @@ def test_orbit_examples():
     o = orbit(2, F(1, 12))
     assert o.points == (F(1, 12), F(1, 6), F(1, 3), F(2, 3))
     assert (o.preperiod, o.period) == (2, 2)
-    assert o.cycle == (F(1, 3), F(2, 3))
+    assert o.points[o.preperiod :] == (F(1, 3), F(2, 3))
 
     o = orbit(7, F(0))
     assert o.points == (F(0),)
@@ -97,7 +95,7 @@ def test_orbit_structure(b, a, d):
         assert p.denominator % q.denominator == 0
     tail_den = coprime_part(x.denominator, b)
     assert o.points[-1].denominator == tail_den or o.period == 1
-    for pt in o.cycle:
+    for pt in o.points[o.preperiod :]:
         assert pt.denominator == tail_den or pt == 0
 
 
@@ -119,19 +117,17 @@ def test_pure_periodicity_when_coprime(b, d):
 
 def test_decompose_examples():
     prof = build_profile(2, [3])
-    dec = decompose(prof, F(1, 9))
-    assert (dec.split.d0, dec.split.d1) == (3, 3)
-    assert dec.a1 == tuple(F(k, 9) for k in (1, 2, 4, 5, 7, 8))
-    assert dec.a1 == dec.a2
-    assert dec.order == 6
-
-    dec = decompose(prof, F(1, 3))
-    assert dec.split.d0 == 1
-    assert dec.a1 == (F(1, 3), F(2, 3))
-
-    dec = decompose(prof, F(0))
-    assert (dec.split.d0, dec.split.d1, dec.order) == (1, 1, 1)
-    assert dec.a1 == dec.a2 == (F(0),)
+    # (x, d0, d1, order, a1), a1 the orbit's points in ascending order
+    cases = [
+        (F(1, 9), 3, 3, 6, [F(k, 9) for k in (1, 2, 4, 5, 7, 8)]),
+        (F(1, 3), 1, 3, 2, [F(1, 3), F(2, 3)]),
+        (F(0), 1, 1, 1, [F(0)]),
+    ]
+    for x, d0, d1, order, a1 in cases:
+        dec = decompose(prof, x)
+        assert (dec.split.d0, dec.split.d1, dec.order) == (d0, d1, order)
+        want = decompose_record_json(2, x, d0, d1, order, a1, a1) + "\n"
+        assert "".join(dec.json_chunks()) == want
 
     prof35 = build_profile(3, [2, 5])
     dec = decompose(prof35, F(1, 160))
@@ -287,58 +283,13 @@ def test_decompose_randomized_equality():
         if d > 10**4 or d == 1:
             continue
         a = rng.choice([a for a in range(1, d) if gcd(a, d) == 1])
-        dec = decompose(prof, F(a, d))
-        assert dec.a1 == dec.a2
-        assert len(dec.a1) == dec.split.d0 * mult_order_bruteforce(b, dec.split.d1)
-
-
-def test_cover_radius_examples():
-    pts = orbit(2, F(1, 9)).points
-    assert cover_radius(pts) == F(1, 9)
-    assert cover_radius([F(0)]) == F(1)
-    assert cover_radius([F(0), F(1, 2)]) == F(1, 2)
-    with pytest.raises(PreconditionError):
-        cover_radius([])
-
-
-_unit_points = st.integers(min_value=1, max_value=60).flatmap(
-    lambda d: st.integers(min_value=0, max_value=d).map(lambda a: F(a, d))
-)
-
-
-@given(
-    st.lists(_unit_points, min_size=1, max_size=12),
-    st.sampled_from([(), (F(0),), (F(1),), (F(0), F(1))]),
-    st.integers(min_value=0, max_value=3),
-)
-@settings(max_examples=200)
-def test_cover_radius_matches_oracle(pts, ends, dups):
-    pts = pts + list(ends) + pts[:dups]
-    want = cover_radius_oracle(pts)
-    assert cover_radius(pts) == want
-    assert cover_radius(iter(pts)) == want
-
-
-@given(
-    st.lists(_unit_points, max_size=6),
-    st.sampled_from([F(-1, 7), F(8, 7), F(-1), F(2), F(61, 60)]),
-)
-@settings(max_examples=50)
-def test_cover_radius_rejects_out_of_range(pts, bad):
-    with pytest.raises(PreconditionError, match="outside"):
-        cover_radius(pts + [bad])
-    with pytest.raises(PreconditionError, match="outside"):
-        cover_radius([bad] + pts)
-
-
-def test_density_report():
-    rep = density_report(orbit(2, F(1, 9)).points, F(1, 9))
-    assert rep.is_dense and rep.cover_radius == F(1, 9)
-    rep = density_report([F(0), F(1, 2)], F(1, 5))
-    assert not rep.is_dense and rep.cover_radius == F(1, 2)
-    assert rep.to_json_dict()["cover_radius"] == "1/2"
-    with pytest.raises(PreconditionError):
-        density_report([F(0)], F(0))
+        x = F(a, d)
+        dec = decompose(prof, x)
+        d0, d1 = dec.split.d0, dec.split.d1
+        a1 = sorted(orbit_oracle(b, x)[0])
+        assert len(a1) == d0 * mult_order_bruteforce(b, d1)
+        want = decompose_record_json(b, x, d0, d1, len(a1), a1, a1) + "\n"
+        assert "".join(dec.json_chunks()) == want
 
 
 def test_density_bound_examples():
@@ -358,9 +309,8 @@ def test_effective_density_small_case():
         for a in range(1, d):
             if a % 3 == 0:
                 continue
-            rep = density_report(orbit(2, F(a, d)).points, F(1, 6))
-            assert rep.is_dense
-    assert not density_report(orbit(2, F(1, 3)).points, F(1, 6)).is_dense
+            assert cover_radius_oracle(orbit(2, F(a, d)).points) <= F(1, 6)
+    assert cover_radius_oracle(orbit(2, F(1, 3)).points) > F(1, 6)
 
 
 def _traced_peak(fn) -> int:

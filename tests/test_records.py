@@ -1,4 +1,4 @@
-"""The package's thirteen records behave as frozen dataclasses did: built by
+"""The package's twelve records behave as frozen dataclasses did: built by
 position or name, immutable, equal and hash equal field by field within one
 class only, `Name(field=value, ...)` as repr, validated on construction and
 with each cached property computed once."""
@@ -22,14 +22,7 @@ from timesb.cantor import (
 )
 from timesb.errors import PreconditionError
 from timesb.numtheory import Factorization, factorize
-from timesb.orbit import (
-    DensityReport,
-    OrbitDecomposition,
-    OrbitInfo,
-    decompose,
-    density_report,
-    orbit,
-)
+from timesb.orbit import OrbitDecomposition, OrbitInfo, decompose, orbit
 from timesb.orders import (
     DenominatorSplit,
     OrderProfile,
@@ -47,7 +40,6 @@ SAMPLES = {
     DenominatorSplit: lambda: split_denominator(build_profile(2, [3]), 27),
     OrbitInfo: lambda: orbit(2, F(5, 27)),
     OrbitDecomposition: lambda: decompose(build_profile(2, [3]), F(1, 9)),
-    DensityReport: lambda: density_report(orbit(2, F(1, 9)).points, F(1, 10)),
     DigitSet: lambda: DigitSet(3, (2, 0)),
     ExpansionInfo: lambda: expand(3, F(1, 4)),
     SIntegerCertificate: lambda: enumerate_s_integers(

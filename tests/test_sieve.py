@@ -14,12 +14,10 @@ from hypothesis import given, settings, strategies as st
 from timesb import cantor, sieve
 from timesb.cantor import (
     DigitSet,
-    count_members_up_to,
     count_report,
     enumerate_members,
     enumerate_s_integers,
     member,
-    reduced_members_up_to,
     smooth_denominators,
 )
 from timesb.errors import InvariantError, PreconditionError
@@ -48,6 +46,11 @@ def naive_members(ds: DigitSet, T: int) -> list[Fraction]:
         for a in range(d + 1)
         if gcd(a, d) == 1 and member(ds, Fraction(a, d))
     )
+
+
+def naive_rows(ds: DigitSet, T: int) -> list[list[int]]:
+    """naive_members as the sieve's rows [num, den], in value order."""
+    return [[x.numerator, x.denominator] for x in naive_members(ds, T)]
 
 
 def every_child(state: np.ndarray, digits, base: int) -> np.ndarray:
@@ -186,7 +189,7 @@ def test_limit_depth():
 )
 def test_sieve_matches_naive_scan(base, digits, T):
     ds = DigitSet(base, digits)
-    assert reduced_members_up_to(ds, T) == naive_members(ds, T)
+    assert members_up_to(base, ds.digits, T).tolist() == naive_rows(ds, T)
 
 
 @pytest.mark.parametrize(
@@ -210,15 +213,14 @@ def test_sieve_long_cycles_match_mask_oracle(base, digits, T):
 
 
 def test_known_counts_middle_thirds():
-    ds = DigitSet(3, (0, 2))
-    assert len(reduced_members_up_to(ds, 100)) == 116
-    assert len(reduced_members_up_to(ds, 600)) == 498
+    assert len(members_up_to(3, (0, 2), 100)) == 116
+    assert len(members_up_to(3, (0, 2), 600)) == 498
 
 
 def test_sieve_matches_coset_enumeration():
     ds = DigitSet(3, (0, 2))
-    got = set(reduced_members_up_to(ds, 400))
-    via_cosets = {Fraction(a, d) for a, d, _, _ in enumerate_members(ds, range(1, 401))}
+    got = members_up_to(3, (0, 2), 400).tolist()
+    via_cosets = [[a, d] for a, d, _, _ in enumerate_members(ds, range(1, 401))]
     assert got == via_cosets
 
 
@@ -239,9 +241,9 @@ def test_sieve_matches_certificate(base, digits, primes):
 
 
 def test_jobs_do_not_change_output(monkeypatch):
-    ds = DigitSet(3, (0, 2))
-    assert reduced_members_up_to(ds, 500, jobs=1) == reduced_members_up_to(
-        ds, 500, jobs=2
+    assert (
+        members_up_to(3, (0, 2), 500, jobs=1).tolist()
+        == members_up_to(3, (0, 2), 500, jobs=2).tolist()
     )
     # past the cut, T = 5000 grows a frontier of hundreds of columns, shared
     # out among this process and forked children
@@ -385,11 +387,9 @@ def test_interrupt_in_parent_reaps_worker(monkeypatch):
 def test_dual_expansion_members_found():
     # 3/4 = 0.30(0) = 0.2(3) in base 4: only the second expansion stays in
     # the digit set, and 3/4 sits on an interval boundary of the tree
-    ds = DigitSet(4, (0, 2, 3))
-    assert Fraction(3, 4) in reduced_members_up_to(ds, 10)
-    ds2 = DigitSet(4, (0, 3))
-    assert Fraction(1, 4) in reduced_members_up_to(ds2, 10)
-    assert Fraction(1, 3) in reduced_members_up_to(DigitSet(3, (0, 2)), 5)
+    assert [3, 4] in members_up_to(4, (0, 2, 3), 10).tolist()
+    assert [1, 4] in members_up_to(4, (0, 3), 10).tolist()
+    assert [1, 3] in members_up_to(3, (0, 2), 5).tolist()
 
 
 def _leaf_cases():
@@ -626,7 +626,7 @@ def test_sieve_matches_naive_randomized(data):
     )
     T = data.draw(st.integers(min_value=1, max_value=60))
     ds = DigitSet(base, tuple(digits))
-    assert reduced_members_up_to(ds, T) == naive_members(ds, T)
+    assert members_up_to(base, ds.digits, T).tolist() == naive_rows(ds, T)
 
 
 def test_count_report_rows():
@@ -646,14 +646,13 @@ def test_count_report_rows():
 
 def test_count_members_up_to_flags():
     ds = DigitSet(3, (0, 2))
-    assert count_members_up_to(ds, 1) == 2
+    assert count_report(ds, 1).reduced_with == 2
     # members at T = 4: 0, 1, 1/4, 3/4 and the dual-expansion pair 1/3, 2/3
-    assert count_members_up_to(ds, 4) == 6
-    assert count_members_up_to(ds, 4, include_endpoints=False) == 4
-    assert count_members_up_to(ds, 4, reduced_only=False) == 12
-    assert count_members_up_to(ds, 100) == 116
+    rep = count_report(ds, 4)
+    assert (rep.reduced_with, rep.reduced_without, rep.all_with) == (6, 4, 12)
+    assert count_report(ds, 100).reduced_with == 116
     # denominators coprime to 3 only: drops 1/3, 2/3 at T = 4
-    assert count_members_up_to(ds, 4, coprime_to_b_only=True) == 4
+    assert count_report(ds, 4, coprime_to_b_only=True).reduced_with == 4
 
 
 def test_count_all_convention_by_hand():
@@ -666,7 +665,7 @@ def test_count_all_convention_by_hand():
         for a in range(d + 1)
         if member(ds, Fraction(a, d))
     )
-    assert count_members_up_to(ds, T, reduced_only=False) == pairs
+    assert count_report(ds, T).all_with == pairs
     coprime_pairs = sum(
         1
         for d in range(1, T + 1)
@@ -674,10 +673,7 @@ def test_count_all_convention_by_hand():
         for a in range(d + 1)
         if member(ds, Fraction(a, d))
     )
-    assert (
-        count_members_up_to(ds, T, reduced_only=False, coprime_to_b_only=True)
-        == coprime_pairs
-    )
+    assert count_report(ds, T, coprime_to_b_only=True).all_with == coprime_pairs
 
 
 def test_full_digit_set_closed_form():

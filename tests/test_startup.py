@@ -2,8 +2,9 @@
 bounds stream run without importing numpy, `dataclasses` or `inspect`, no
 command imports a process pool, the orbit layer's commands run no code of
 the Cantor-set, sieve or bounds layers and hold no orbit-sized memory,
-numpy starts no OpenBLAS threads, and a worker forked right after numpy's
-first import gives the same bytes as no worker."""
+numpy starts no OpenBLAS threads, a worker forked right after numpy's
+first import gives the same bytes as no worker, and every name the package
+exports on first access is there to load."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import timesb
 from timesb import sieve
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -42,6 +44,13 @@ def loaded_modules(*argv: str, watch=HEAVY) -> list[str]:
     code, *loaded = proc.stderr.splitlines()[-1].split()
     assert code == "0", proc.stderr
     return loaded
+
+
+def test_every_exported_name_resolves():
+    # __all__ comes from the package's lazy export table, not from the
+    # submodules it names: a name deleted from its module but left in the
+    # table is listed and fails only on first access
+    assert [name for name in timesb.__all__ if not hasattr(timesb, name)] == []
 
 
 @pytest.mark.parametrize(
