@@ -15,10 +15,11 @@ exact work (membership, enumeration) happens elsewhere.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, log, sqrt
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ._record import record
 from .errors import InvariantError, PreconditionError
@@ -72,18 +73,19 @@ class BoundReport:
 
 
 BOUNDS_CSV_HEADER = "b,digits,a,d,P,rad,branch,K_emp,c_emp_rad,c_emp_P"
+_SLICE = 1 << 8  # rows that bounds_chunks formats at a time
 
 
-def _reported(epsilon: Fraction, d: int) -> bool:
-    """Whether a member of denominator d gets a report: d >= 3 and
-    epsilon*d >= 3, which keep the double logarithms log log d and
+def _least_reported(epsilon: Fraction) -> int:
+    """The least d whose member gets a report, for epsilon > 0: d >= 3 and
+    epsilon*d >= 3 keep the double logarithms log log d and
     log log(2*epsilon*d) positive."""
-    return d >= 3 and epsilon.numerator * d >= 3 * epsilon.denominator
+    return max(3, -(-3 * epsilon.denominator // epsilon.numerator))
 
 
 def bound_report(base: int, epsilon: Fraction, x: Fraction) -> BoundReport | None:
     """Evaluate the constants for one member, or None when d < 3 or
-    epsilon*d < 3 (see _reported).
+    epsilon*d < 3 (see _least_reported).
 
     The coprimality precondition gcd(a*base, d) = 1 is what rules out P(d) =
     base and makes the two branches exhaustive.
@@ -99,7 +101,7 @@ def bound_report(base: int, epsilon: Fraction, x: Fraction) -> BoundReport | Non
         )
     if d == 1:
         raise PreconditionError("denominator 1 has no largest prime factor")
-    if not _reported(epsilon, d):
+    if d < _least_reported(epsilon):
         return None
     return _report(base, epsilon, a, d, largest_prime(d), radical(d))
 
@@ -139,24 +141,71 @@ def _report(base: int, epsilon: Fraction, a: int, d: int, P: int, rad: int) -> B
 
 def member_bound_reports(
     base: int, epsilon: Fraction, rows: np.ndarray
-) -> list[tuple[int, BoundReport]]:
-    """(num, report) of each member row (num, den), in row order, over the
-    rows with den coprime to the base that _reported keeps: one report per
-    den, made as bound_report makes it, with the den's first num."""
+) -> tuple[np.ndarray, dict[int, BoundReport]]:
+    """The member rows (num, den) that get a report, in row order: den
+    coprime to the base and kept by _least_reported; and the report of each
+    of their dens, made as bound_report makes it, with the den's first num."""
     import numpy as np
 
     rows = rows[(rows[:, 1] > 1) & (np.gcd(rows[:, 1], base) == 1)]
-    if rows.size and epsilon <= 0:
-        raise PreconditionError(f"epsilon must be positive, got {frac_str(epsilon)}")
-    rows = rows.tolist()
-    # each den's first num, as the last write wins (np.unique imports numpy.ma)
-    first = {d: a for a, d in reversed(rows)}
+    if rows.size:
+        if epsilon <= 0:
+            raise PreconditionError(f"epsilon must be positive, got {frac_str(epsilon)}")
+        # every den is below 2^62, and so is the bound compared in int64
+        rows = rows[rows[:, 1] >= min(_least_reported(epsilon), 2**62)]
+    # each den's first row, from a stable sort (np.unique imports numpy.ma)
+    order = np.argsort(rows[:, 1], kind="stable")
+    first = order[np.diff(rows[order, 1], prepend=0) != 0]
     reports = {
         d: _report(base, epsilon, a, d, largest_prime(d), radical(d))
-        for d, a in first.items()
-        if _reported(epsilon, d)
+        for a, d in rows[first].tolist()
     }
-    return [(a, reports[d]) for a, d in rows if d in reports]
+    return rows, reports
+
+
+def bounds_chunks(
+    base: int,
+    digits: tuple[int, ...],
+    epsilon: Fraction,
+    max_den: int,
+    jobs: int,
+    fmt: str,
+) -> Iterator[str]:
+    """The bounds command's stdout in CSV or JSON (fmt), a slice of
+    member rows at a time, over sieve.members_up_to(base, digits, max_den,
+    jobs): every report is made, and every precondition checked, before the
+    first text. A den's rows share its report, so the summary's minima are
+    taken over the distinct reports and its count is the number of rows."""
+    # imported here: profile uses this module and never the sieve
+    from .sieve import members_up_to
+
+    rows, reports = member_bound_reports(
+        base, epsilon, members_up_to(base, digits, max_den, jobs)
+    )
+    summary = aggregate_constants(reports.values()) if reports else {}
+    summary.update(
+        {
+            "count": len(rows),
+            "base": base,
+            "digits": list(digits),
+            "epsilon": frac_str(epsilon),
+            "max_den": max_den,
+            "log": "natural",
+        }
+    )
+    summary = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    slices = (rows[i : i + _SLICE].tolist() for i in range(0, len(rows), _SLICE))
+    if fmt == "json":
+        yield '{"rows":['
+        for i, part in enumerate(slices):
+            yield ("," if i else "") + ",".join([reports[d].json_row % a for a, d in part])
+        yield f'],"summary":{summary}}}\n'
+        return
+    head = f"{base},{';'.join(map(str, digits))},"
+    yield f"{BOUNDS_CSV_HEADER}\n"
+    for part in slices:
+        yield "".join([f"{head}{a},{reports[d].den_cells}\n" for a, d in part])
+    yield f"\n{summary}\n"
 
 
 def aggregate_constants(reports: Iterable[BoundReport]) -> dict:

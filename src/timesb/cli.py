@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 from math import gcd, prod
 from types import ModuleType
+from typing import Iterator
 
 from .errors import InvariantError, PreconditionError
 from .numtheory import factorize, mult_order_bruteforce
@@ -249,8 +250,9 @@ def _json_lines(ds: cantor.DigitSet, chunk: tuple) -> str:
     ])
 
 
-def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
-    """The JSON lines of every member, value-ascending, one string per chunk."""
+def _enumerate_lines(args, ds: cantor.DigitSet) -> Iterator[str]:
+    """The JSON lines of every member, value-ascending, one string per chunk,
+    each built as its chunk is walked."""
     sources = (args.den_form, args.max_den, args.denominators)
     if sum(source is not None for source in sources) != 1:
         raise PreconditionError(
@@ -277,13 +279,12 @@ def _enumerate_lines(args, ds: cantor.DigitSet) -> list[str]:
         raise PreconditionError("--denominators lists no denominator")
     else:
         rows = cantor._member_rows(ds, args.denominators)
-    return [_json_lines(ds, chunk) for chunk in cantor._witness_chunks(ds, rows)]
+    for chunk in cantor._witness_chunks(ds, rows):
+        yield _json_lines(ds, chunk)
 
 
 def cmd_enumerate(args) -> int:
     ds = cantor.DigitSet(args.base, tuple(args.digits))
-    # every line is built before the first is written, so that a row with
-    # no good expansion leaves stdout empty
     sys.stdout.writelines(_enumerate_lines(args, ds))
     return 0
 
@@ -317,27 +318,9 @@ def cmd_bounds(args) -> int:
     eps = args.epsilon if args.epsilon is not None else ds.epsilon_exact
     if args.max_den >= 10**5:
         _progress(f"enumerating members up to {args.max_den} for bound reports")
-    rows = sieve.members_up_to(ds.base, ds.digits, args.max_den, args.jobs)
-    reports = bounds.member_bound_reports(ds.base, eps, rows)
-    summary = bounds.aggregate_constants(r for _, r in reports) if reports else {"count": 0}
-    summary.update(
-        {
-            "base": ds.base,
-            "digits": list(ds.digits),
-            "epsilon": frac_str(eps),
-            "max_den": args.max_den,
-            "log": "natural",
-        }
+    sys.stdout.writelines(
+        bounds.bounds_chunks(ds.base, ds.digits, eps, args.max_den, args.jobs, args.format)
     )
-    if args.format == "json":
-        rows = ",".join([r.json_row % a for a, r in reports])
-        print(f'{{"rows":[{rows}],"summary":{_dumps(summary)}}}')
-        return 0
-    head = f"{ds.base},{';'.join(map(str, ds.digits))},"
-    print(bounds.BOUNDS_CSV_HEADER)
-    sys.stdout.writelines([f"{head}{a},{r.den_cells}\n" for a, r in reports])
-    print()
-    _emit(summary)
     return 0
 
 

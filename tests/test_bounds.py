@@ -136,9 +136,10 @@ def test_member_bound_reports_prime_data_matches_bruteforce():
     # and rad(d) for all of them
     assert oracles.factor_bruteforce(20011) == ((20011, 1),)
     rows = np.array([(1, d) for d in range(1, 20_001)], dtype=np.int64)
-    reports = [r for _, r in member_bound_reports(20011, Fraction(1), rows)]
-    assert [r.den for r in reports] == list(range(3, 20_001))
-    for r in reports:
+    kept, reports = member_bound_reports(20011, Fraction(1), rows)
+    assert kept[:, 1].tolist() == list(range(3, 20_001))
+    assert [(d, r.den) for d, r in reports.items()] == [(d, d) for d in range(3, 20_001)]
+    for r in reports.values():
         factors = oracles.factor_bruteforce(r.den)
         assert (r.largest_prime, r.radical) == (
             factors[-1][0],
@@ -167,15 +168,20 @@ def test_member_bound_reports_match_bound_report(base, digits, T, eps):
         if d > 1 and gcd(base, d) == 1
     ]
     want = [r for r in want if r is not None]
-    # a den's rows share its report, made with the den's first num
-    got = member_bound_reports(base, eps, rows)
-    # each row's report, rebuilt field by field with the row's own num
+    kept, reports = member_bound_reports(base, eps, rows)
+    # each kept row's den report, rebuilt field by field with the row's own num
     rebuilt = [
         type(r)(**{f: a if f == "num" else getattr(r, f) for f in r.__match_args__})
-        for a, r in got
+        for a, r in ((a, reports[d]) for a, d in kept.tolist())
     ]
     assert rebuilt == want
-    assert len({id(r) for _, r in got}) == len({r.den for _, r in got})
+    # one report per kept den, made with the den's first num
+    first = {}
+    for a, d in kept.tolist():
+        first.setdefault(d, a)
+    assert {d: (r.den, r.num) for d, r in reports.items()} == {
+        d: (d, a) for d, a in first.items()
+    }
     assert want
 
 
@@ -184,4 +190,5 @@ def test_member_bound_reports_rejects_like_bound_report():
     with pytest.raises(PreconditionError, match="epsilon must be positive"):
         member_bound_reports(3, Fraction(-1, 6), rows)
     # no row coprime to the base and above 1: nothing to evaluate, no error
-    assert member_bound_reports(3, Fraction(-1, 6), rows[rows[:, 1] % 3 == 0]) == []
+    kept, reports = member_bound_reports(3, Fraction(-1, 6), rows[rows[:, 1] % 3 == 0])
+    assert kept.shape == (0, 2) and reports == {}

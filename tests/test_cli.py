@@ -597,9 +597,9 @@ def _old_enumerate_stdout(ds, members):
     return "".join(out)
 
 
-def _old_bounds_stdout(ds, members, T, fmt):
+def _old_bounds_stdout(ds, members, T, fmt, eps=None):
     # bound_report on each Fraction, factoring every d
-    eps = ds.epsilon_exact
+    eps = ds.epsilon_exact if eps is None else eps
     reports = []
     for x in members:
         if x.denominator == 1 or gcd(ds.base, x.denominator) != 1:
@@ -607,7 +607,7 @@ def _old_bounds_stdout(ds, members, T, fmt):
         r = bound_report(ds.base, eps, x)
         if r is not None:
             reports.append(r)
-    summary = aggregate_constants(reports)
+    summary = aggregate_constants(reports) if reports else {"count": 0}
     summary.update(
         {"base": ds.base, "digits": list(ds.digits), "epsilon": frac_str(eps),
          "max_den": T, "log": "natural"}
@@ -691,6 +691,34 @@ def test_member_records_reject_row_without_good_expansion(capsys, monkeypatch, s
         capsys, "enumerate", "--base", "6", "--digits", "1,2,3,4,5", *source
     )
     assert code == 3 and out == ""
+    assert "1/36" in err
+
+
+@pytest.mark.parametrize("source", ["--max-den", "--denominators"])
+def test_enumerate_writes_earlier_chunks_before_exit_3(capsys, monkeypatch, source):
+    # chunks of one row and the same forged 1/36 after five good rows: the
+    # lines of the five earlier chunks are written whole, then exit 3
+    monkeypatch.setattr(cantor, "_BUDGET", 4)
+    ds, k = DigitSet(6, (1, 2, 3, 4, 5)), 5
+    if source == "--max-den":
+        real, arg = sieve.members_up_to, "40"
+        want = _scalar_enumerate_stdout(ds, 40)
+        monkeypatch.setattr(
+            sieve, "members_up_to",
+            lambda base, digits, T, jobs: np.insert(real(base, digits, T, jobs), k, [1, 36], axis=0),
+        )
+    else:
+        real, arg = cantor._by_value, "35,7,5,1"
+        want = "".join(map(_dumps, _scalar_records(ds, [1, 5, 7, 35])))
+        monkeypatch.setattr(
+            cantor, "_by_value", lambda rows: np.insert(real(rows), k, [1, 36], axis=0)
+        )
+    lines = want.splitlines(keepends=True)
+    assert len(lines) > k
+    code, out, err = run_cli(
+        capsys, "enumerate", "--base", "6", "--digits", "1,2,3,4,5", source, arg
+    )
+    assert code == 3 and out == "".join(lines[:k])
     assert "1/36" in err
 
 
@@ -857,6 +885,31 @@ def test_bounds_constants_once_per_den(capsys, monkeypatch, jobs):
         assert code == 0
         assert sorted(calls) == sorted(dens)
         assert out == _old_bounds_stdout(ds, members, T, fmt)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_bounds_bytes_across_slice_boundaries(capsys, monkeypatch, size):
+    # rows written a slice of one or three at a time: every row starts or
+    # ends a slice, and T = 10 keeps members but no row (epsilon*d < 3)
+    monkeypatch.setattr(bounds, "_SLICE", size)
+    ds = DigitSet(3, (0, 2))
+    argv = ("bounds", "--base", "3", "--digits", "0,2", "--max-den")
+    for T in (3000, 10):
+        members = _fraction_route_members(ds, T, 1)
+        assert members
+        for fmt in ("csv", "json"):
+            code, out, _ = run_cli(capsys, *argv, str(T), "--format", fmt)
+            assert code == 0
+            assert out == _old_bounds_stdout(ds, members, T, fmt)
+    # 1/3 and 2/3 are the rows, den 3 shares the base: no den to report on,
+    # so a negative epsilon is never used and not refused
+    eps = Fraction(-1, 6)
+    members = _fraction_route_members(ds, 3, 1)
+    assert [x.denominator for x in members] == [1, 3, 3, 1]
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, *argv, "3", "--epsilon=-1/6", "--format", fmt)
+        assert code == 0
+        assert out == _old_bounds_stdout(ds, members, 3, fmt, eps)
 
 
 def test_bounds_every_row_skipped(capsys):

@@ -1,11 +1,13 @@
 """Start-up cost: the commands that never reach the sieve, the walk or the
 bounds stream run without importing numpy, `dataclasses` or `inspect`, no
 command imports a process pool, the orbit layer's commands run no code of
-the Cantor-set, sieve or bounds layers and hold no orbit-sized memory,
+the Cantor-set, sieve or bounds layers and hold no orbit-sized memory, the
+member outputs hold no output-sized memory past their sieve,
 numpy starts no OpenBLAS threads, a worker forked right after numpy's
 first import gives the same bytes as no worker, and every name the package
 exports on first access is there to load."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -95,13 +97,19 @@ _RSS_PROBE = (
 )
 
 
+@functools.cache
 def peak_rss_kib(argv: str) -> int:
-    """The least ru_maxrss of two fresh runs of argv."""
+    """The least ru_maxrss of fresh runs of argv, each with an environment
+    of another size: where the interpreter's objects land in the heap moves
+    with the size of the environment and of the paths, and with it a
+    request's peak by up to about 1 MB, so the least peak over a few
+    layouts is steadier than one layout run twice."""
     peaks = []
-    for _ in range(2):
+    for pad in range(0, 2048, 512):
         proc = subprocess.run(
             [sys.executable, "-c", _RSS_PROBE, *argv.split()],
-            capture_output=True, text=True, env=ENV, timeout=60,
+            capture_output=True, text=True, env={**ENV, "LAYOUT_PAD": "x" * pad},
+            timeout=60,
         )
         code, kib = proc.stdout.split()
         assert code == "0", proc.stderr
@@ -122,6 +130,23 @@ def test_orbit_peaks_within_1mb_of_a_request_without_work(argv):
     # list or text held
     idle = peak_rss_kib("order --base 2 --modulus 243")
     assert peak_rss_kib(argv) - idle < 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate --base 3 --digits 0,2 --max-den 100000 --jobs 1",
+        "bounds --base 3 --digits 0,2 --max-den 100000 --jobs 1 --epsilon 1/6",
+        "bounds --base 3 --digits 0,2 --max-den 100000 --jobs 1 --epsilon 1/6 --format json",
+    ],
+)
+def test_member_output_peaks_within_1mb_of_count(argv):
+    # 41472 member rows, 3.2 MB of enumerate lines and 1.5 MB of bounds JSON,
+    # written a chunk or slice of rows at a time: past count's own sieve, only
+    # the int64 rows and one report per den are held
+    count = peak_rss_kib("count --base 3 --digits 0,2 --max-den 100000 --jobs 1")
+    assert peak_rss_kib(argv) - count < 1024
 
 
 def test_profile_runs_neither_cantor_nor_sieve():
