@@ -328,6 +328,7 @@ def _witness_chunks(ds: DigitSet, rows: np.ndarray) -> Iterator[tuple]:
         flat = np.zeros(off[-1] + 1, dtype=np.int64)  # a spare slot at -1
         for i, (row, c) in enumerate(rounds):
             flat[off[row] + i] = c
+        del rounds  # its digits are all in flat now
         flat[head[one]] = b - 1
         bad = np.zeros(flat.size + 1, dtype=np.int64)
         np.cumsum(~good[flat], out=bad[1:])
@@ -348,6 +349,7 @@ def _witness_chunks(ds: DigitSet, rows: np.ndarray) -> Iterator[tuple]:
             )
         flat[tip[dual]] -= 1
         flat[cut[dual]] = b - 1
+        del bad  # not held while the caller reads the chunk
         yield num, den, flat[:-1], off, cut
 
 

@@ -229,12 +229,16 @@ _JOBS_HELP = (
     "walk the digit tree in at most N processes (default: $TIMESB_JOBS, else 1); "
     "a tree too small to gain from more is walked in one"
 )
+# rows whose lines are built at once: a whole chunk's lines and their ints
+# would need fresh memory for small objects once the sieve is done
+_LINES = 256
 
 
-def _json_lines(ds: cantor.DigitSet, chunk: tuple) -> str:
+def _json_lines(ds: cantor.DigitSet, chunk: tuple) -> Iterator[str]:
     """_emit's sorted-key JSON line of every row of a cantor._witness_chunks
-    chunk: the digits' text ",c,c,.." is written once, and each row's lists
-    are slices of it (past their first comma, so an empty list is "")."""
+    chunk, _LINES rows' lines to a string: the digits' text ",c,c,.." is
+    written once, and each row's lists are slices of it (past their first
+    comma, so an empty list is "")."""
     import numpy as np
 
     num, den, digits, off, cut = chunk
@@ -242,17 +246,20 @@ def _json_lines(ds: cantor.DigitSet, chunk: tuple) -> str:
     at = np.searchsorted(np.array(ds.digits), digits)
     raw = np.array(glyphs)[at].view(np.uint8)  # NUL-padded to the widest
     text = raw[raw != 0].tobytes().decode()
-    char = np.concatenate([[0], np.cumsum(np.array([len(g) for g in glyphs])[at])])
+    char = np.zeros(at.size + 1, dtype=np.int64)
+    np.cumsum(np.array([len(g) for g in glyphs])[at], out=char[1:])
     cols = (num, den, char[off[:-1]] + 1, char[cut], char[off[1:]])
-    return "".join([
-        f'{{"den":{n},"num":{a},"period":[{text[k + 1 : e]}],"preperiod":[{text[o:k]}]}}\n'
-        for a, n, o, k, e in zip(*(col.tolist() for col in cols))
-    ])
+    del at, raw, char  # per-digit, not held while the lines are built
+    for i in range(0, num.size, _LINES):
+        yield "".join([
+            f'{{"den":{n},"num":{a},"period":[{text[k + 1 : e]}],"preperiod":[{text[o:k]}]}}\n'
+            for a, n, o, k, e in zip(*(col[i : i + _LINES].tolist() for col in cols))
+        ])
 
 
 def _enumerate_lines(args, ds: cantor.DigitSet) -> Iterator[str]:
-    """The JSON lines of every member, value-ascending, one string per chunk,
-    each built as its chunk is walked."""
+    """The JSON lines of every member, value-ascending, a string of up to
+    _LINES lines at a time, each built as its chunk is walked."""
     sources = (args.den_form, args.max_den, args.denominators)
     if sum(source is not None for source in sources) != 1:
         raise PreconditionError(
@@ -280,7 +287,7 @@ def _enumerate_lines(args, ds: cantor.DigitSet) -> Iterator[str]:
     else:
         rows = cantor._member_rows(ds, args.denominators)
     for chunk in cantor._witness_chunks(ds, rows):
-        yield _json_lines(ds, chunk)
+        yield from _json_lines(ds, chunk)
 
 
 def cmd_enumerate(args) -> int:

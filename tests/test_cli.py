@@ -840,8 +840,10 @@ def test_enumerate_lines_across_chunk_boundaries(
     capsys, monkeypatch, chunk, base, digits, T, dens, q, max_exp
 ):
     # chunks of one and three rows: every row starts or ends a chunk, so
-    # each chunk's digit text and slices are cut at every kind of row
+    # each chunk's digit text and slices are cut at every kind of row; the
+    # lines are joined two rows at a time, which splits the three-row chunks
     monkeypatch.setattr(cantor, "_BUDGET", 4 * chunk)
+    monkeypatch.setattr(cli, "_LINES", 2)
     ds = DigitSet(base, digits)
     common = ("enumerate", "--base", str(base), "--digits", ",".join(map(str, digits)))
     code, out, _ = run_cli(capsys, *common, "--max-den", str(T))
