@@ -18,12 +18,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, log, sqrt
+from math import gcd, log, prod, sqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ._record import record
 from .errors import InvariantError, PreconditionError
-from .numtheory import largest_prime, radical
+from .numtheory import factorize
 from .orders import OrderProfile
 from .rational import frac_str
 
@@ -103,11 +103,14 @@ def bound_report(base: int, epsilon: Fraction, x: Fraction) -> BoundReport | Non
         raise PreconditionError("denominator 1 has no largest prime factor")
     if d < _least_reported(epsilon):
         return None
-    return _report(base, epsilon, a, d, largest_prime(d), radical(d))
+    return _report(base, epsilon, a, d)
 
 
-def _report(base: int, epsilon: Fraction, a: int, d: int, P: int, rad: int) -> BoundReport:
-    """The constants of member a/d with P = P(d) and rad = rad(d)."""
+def _report(base: int, epsilon: Fraction, a: int, d: int) -> BoundReport:
+    """The constants of member a/d, with P(d) and rad(d) from one
+    factorization of d."""
+    primes = factorize(d)
+    P, rad = max(primes), prod(primes)
     if P == base:
         raise InvariantError(
             f"largest prime {P} equals the base despite gcd(a*b, d) = 1"
@@ -156,10 +159,7 @@ def member_bound_reports(
     # each den's first row, from a stable sort (np.unique imports numpy.ma)
     order = np.argsort(rows[:, 1], kind="stable")
     first = order[np.diff(rows[order, 1], prepend=0) != 0]
-    reports = {
-        d: _report(base, epsilon, a, d, largest_prime(d), radical(d))
-        for a, d in rows[first].tolist()
-    }
+    reports = {d: _report(base, epsilon, a, d) for a, d in rows[first].tolist()}
     return rows, reports
 
 

@@ -573,7 +573,7 @@ def enumerate_s_integers(
 def _count_coprime_upto(limit: np.ndarray, base: int) -> np.ndarray:
     """|{k : 1 <= k <= limit, gcd(k, base) = 1}| elementwise, by
     inclusion-exclusion over the primes of the base."""
-    primes = factorize(base).primes
+    primes = list(factorize(base))
     total = 0  # bits = 0 comes first and makes it an array like limit
     for bits in range(1 << len(primes)):
         d = 1

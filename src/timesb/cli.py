@@ -95,7 +95,12 @@ def _emit(obj) -> None:
 
 
 def _progress(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    """Print msg on stderr. A closed stderr loses the message, not the run:
+    fd 2 then goes to devnull, so no later write or final flush raises."""
+    try:
+        print(msg, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def cmd_order(args) -> int:
@@ -109,19 +114,16 @@ def cmd_order(args) -> int:
         if len(set(args.primes)) != len(args.primes):
             raise PreconditionError(f"--primes repeats a prime: {args.primes}")
         modulus = prod(p**e for p, e in zip(args.primes, args.exponents))
-        primes = sorted(args.primes)
         exponents = dict(zip(args.primes, args.exponents))
     else:
         modulus = args.modulus
         if modulus < 1:
             raise PreconditionError(f"modulus must be >= 1, got {modulus}")
-        fact = factorize(modulus)
-        primes = list(fact.primes)
-        exponents = dict(fact)
+        exponents = factorize(modulus)
     if modulus == 1:
         _emit({"base": args.base, "modulus": 1, "order": 1, "verified": True})
         return 0
-    profile = build_profile(args.base, primes)
+    profile = build_profile(args.base, exponents)
     order = order_from_profile(profile, exponents)
     verified = None
     if modulus <= BRUTE_VERIFY_LIMIT:
@@ -340,7 +342,7 @@ def _verify_orders(rng: random.Random, trials: int) -> None:
         profile = build_profile(b, S)
         dens = cantor.smooth_denominators(S, 10**4)
         d = rng.choice(dens)
-        got = order_from_profile(profile, dict(factorize(d))) if d > 1 else 1
+        got = order_from_profile(profile, factorize(d)) if d > 1 else 1
         want = mult_order_bruteforce(b, d)
         if got != want:
             raise InvariantError(f"order mismatch: base {b} modulus {d} {got} != {want}")
@@ -353,8 +355,7 @@ def _verify_decompose(rng: random.Random, trials: int) -> None:
         while gcd(d, b) != 1:
             d = rng.randrange(2, 10**4)
         a = rng.randrange(1, d)
-        primes = sorted(factorize(d).primes)
-        profile = build_profile(b, primes)
+        profile = build_profile(b, factorize(d))
         decompose(profile, Fraction(a, d))  # raises InvariantError on mismatch
 
 
@@ -598,21 +599,20 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # fd 1 goes to devnull, or the interpreter's last flush raises again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("stdout closed before all output was written", file=sys.stderr)
+        _progress("stdout closed before all output was written")
         return 2
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _progress("interrupted")
         return 2
     except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
+        _progress(f"precondition violated: {exc}")
         return 2
     except InvariantError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
+        _progress(f"internal invariant failure: {exc}")
         return 3
     except MemoryError:
-        print("out of memory: ask for less work", file=sys.stderr)
+        _progress("out of memory: ask for less work")
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,10 +1,13 @@
 """Exact integer arithmetic: factorization, valuations, multiplicative orders.
 
-Everything here works on plain Python integers and is deterministic. The
-factorizer does trial division by sieved primes up to 10^6 (the table grows
-only as far as the cofactor's square root asks), then a
-deterministic Miller-Rabin (base set valid below 3.3e24) with Brent's rho for
-composites that survive trial division.
+Everything here works on plain Python integers and is deterministic. A
+factored integer is a dict {prime: exponent} with ascending primes and
+exponents >= 1 ({} for 1): factorize returns one, and
+group_exponent_factored takes one and returns Carmichael's lambda as one.
+The factorizer does trial division by sieved primes up to 10^6 (the table
+grows only as far as the cofactor's square root asks), then a deterministic
+Miller-Rabin (base set valid below 3.3e24) with Brent's rho for composites
+that survive trial division.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from math import gcd, isqrt, prod
 from typing import Mapping
 
-from ._record import record
 from .errors import InvariantError, PreconditionError
 
 _TRIAL_LIMIT = 10**6
@@ -101,56 +103,12 @@ def _brent_rho(n: int) -> int:
     raise InvariantError(f"rho failed to split {n}")
 
 
-@record
-class Factorization:
-    """A positive integer together with its prime factorization.
-
-    factors is a tuple of (prime, exponent) pairs with strictly increasing
-    primes and exponents >= 1; the empty tuple encodes 1.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise PreconditionError(f"factorization of nonpositive {self.value}")
-        prod = 1
-        last = 1
-        for p, e in self.factors:
-            if p <= last:
-                raise PreconditionError("factor primes must strictly increase")
-            if e < 1:
-                raise PreconditionError(f"exponent {e} < 1 for prime {p}")
-            if not is_prime(p):
-                raise PreconditionError(f"{p} is not prime")
-            prod *= p**e
-            last = p
-        if prod != self.value:
-            raise PreconditionError(
-                f"factors reconstruct {prod}, expected {self.value}"
-            )
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
-def factorize(n: int) -> Factorization:
-    """Full prime factorization of n >= 1."""
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending."""
     if n < 1:
         raise PreconditionError(f"factorize requires n >= 1, got {n}")
     m = n
-    found: list[tuple[int, int]] = []
+    found: dict[int, int] = {}
     primes = _prime_table
     i = 0
     while True:
@@ -167,12 +125,12 @@ def factorize(n: int) -> Factorization:
             while m % p == 0:
                 m //= p
                 e += 1
-            found.append((p, e))
+            found[p] = e
         i += 1
     if m > 1:
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             # trial division ruled out divisors up to min(sqrt(m), 10^6)
-            found.append((m, 1))
+            found[m] = 1
         else:
             counts: dict[int, int] = {}
             stack = [m]
@@ -184,9 +142,9 @@ def factorize(n: int) -> Factorization:
                 d = _brent_rho(k)
                 stack.append(d)
                 stack.append(k // d)
-            found.extend(sorted(counts.items()))
-            found.sort()
-    return Factorization(value=n, factors=tuple(found))
+            # every prime left exceeds the trial-divided ones
+            found.update(sorted(counts.items()))
+    return found
 
 
 def vp(n: int, p: int) -> int:
@@ -201,23 +159,6 @@ def vp(n: int, p: int) -> int:
         n //= p
         k += 1
     return k
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n (1 for n = 1)."""
-    if n < 1:
-        raise PreconditionError(f"radical requires n >= 1, got {n}")
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
-def largest_prime(n: int) -> int:
-    """Largest prime divisor of n >= 2."""
-    if n < 2:
-        raise PreconditionError(f"{n} has no prime divisor")
-    return factorize(n).factors[-1][0]
 
 
 def mult_order_bruteforce(base: int, modulus: int) -> int:
@@ -268,40 +209,26 @@ def mult_order_fast(base: int, modulus: int, exponent_factors: dict[int, int]) -
     return order
 
 
-def unit_group_exponent(p: int, n: int) -> int:
-    """Exponent of the unit group mod p**n.
-
-    Odd p: the group is cyclic of order (p-1)p^(n-1). p = 2: trivial for n = 1,
-    order 2 for n = 2, and 2 x 2^(n-2) (exponent 2^(n-2)) for n >= 3.
-    """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    if n < 1:
-        raise PreconditionError(f"exponent must be >= 1, got {n}")
-    if p == 2:
-        if n == 1:
-            return 1
-        if n == 2:
-            return 2
-        return 2 ** (n - 2)
-    return (p - 1) * p ** (n - 1)
-
-
 def group_exponent_factored(
-    fact: Factorization, p_minus_1: Mapping[int, Factorization | None] | None = None
+    fact: Mapping[int, int],
+    p_minus_1: Mapping[int, Mapping[int, int] | None] | None = None,
 ) -> dict[int, int]:
-    """Factored exponent of the unit group mod fact.value (Carmichael lambda).
+    """Carmichael's lambda(m), the exponent of the unit group mod m, as
+    {prime: exponent} for m given factored as fact = {p: n}: the lcm of the
+    lambda(p^n).
 
-    Each p's unit_group_exponent divides (p - 1) * p^n, so it is split over
-    the primes of p - 1 and p; p_minus_1 may map p to the factored p - 1,
-    which is factorized only when not given."""
+    Odd p: the group mod p^n is cyclic of order (p - 1) * p^(n-1), so
+    lambda(p^n) has the factors of p - 1 and p^(n-1); p_minus_1 may map p to
+    the factored p - 1, which is factorized only when not given. p = 2:
+    lambda is 1, 2 and 2^(n-2) for n = 1, 2 and n >= 3."""
     lam: dict[int, int] = {}
-    for p, n in fact:
-        k = unit_group_exponent(p, n)
-        known = p_minus_1.get(p) if p_minus_1 else None
-        primes = (*(known or factorize(p - 1)).primes, p)
-        parts = tuple((q, vp(k, q)) for q in primes if k % q == 0)
-        for q, e in Factorization(k, parts):
+    for p, n in fact.items():
+        if p == 2:
+            parts = {2: n - 2 if n > 2 else n - 1}
+        else:
+            known = p_minus_1.get(p) if p_minus_1 else None
+            parts = {**(known or factorize(p - 1)), p: n - 1}
+        for q, e in parts.items():
             if lam.get(q, 0) < e:
                 lam[q] = e
     return lam

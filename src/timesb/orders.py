@@ -19,14 +19,7 @@ from typing import Iterable, Mapping
 
 from ._record import record
 from .errors import PreconditionError
-from .numtheory import (
-    Factorization,
-    factorize,
-    group_exponent_factored,
-    is_prime,
-    mult_order_fast,
-    vp,
-)
+from .numtheory import factorize, group_exponent_factored, is_prime, mult_order_fast, vp
 
 
 def stabilization_exponent(base: int, p: int) -> int:
@@ -66,13 +59,14 @@ def cap_exponent(p: int, stable: Mapping[int, tuple[int, int]]) -> int:
 @record(hidden=("p_minus_1",))
 class PrimeOrderStats:
     """Per-prime order data: stabilization exponent, cap, and ord at
-    stabilization, with the factored p - 1 when known (build_profile keeps
-    it, so no order over the profile factors it again)."""
+    stabilization, with the factored p - 1 as {prime: exponent} when known
+    (build_profile keeps it, so no order over the profile factors it again;
+    hidden, since a dict does not hash)."""
 
     stable_exp: int
     cap_exp: int
     order_at_stable: int
-    p_minus_1: Factorization | None = None
+    p_minus_1: dict[int, int] | None = None
 
     def __post_init__(self):
         if not 1 <= self.stable_exp <= self.cap_exp:
@@ -157,11 +151,11 @@ def build_profile(base: int, primes: Iterable[int]) -> OrderProfile:
     OrderProfile an empty prime set.
     """
     stable: dict[int, tuple[int, int]] = {}
-    p_minus_1: dict[int, Factorization] = {}
+    p_minus_1: dict[int, dict[int, int]] = {}
     for p in sorted(set(primes)):
         n_p = stabilization_exponent(base, p)
         p_minus_1[p] = factorize(p - 1)
-        lam = group_exponent_factored(Factorization(p**n_p, ((p, n_p),)), p_minus_1)
+        lam = group_exponent_factored({p: n_p}, p_minus_1)
         stable[p] = (n_p, mult_order_fast(base, p**n_p, lam))
     records = tuple(
         (p, PrimeOrderStats(n_p, cap_exponent(p, stable), ord_p, p_minus_1[p]))
@@ -219,11 +213,8 @@ def _order_of_split(profile: OrderProfile, split: DenominatorSplit) -> int:
     factorization."""
     if split.d1 == 1:
         return split.d0
-    d1_factors = tuple(
-        (p, vp(split.d1, p)) for p in profile.primes if split.d1 % p == 0
-    )
     lam = group_exponent_factored(
-        Factorization(value=split.d1, factors=d1_factors),
+        {p: vp(split.d1, p) for p in profile.primes if split.d1 % p == 0},
         {p: st.p_minus_1 for p, st in profile.records},
     )
     return split.d0 * mult_order_fast(profile.base, split.d1, lam)

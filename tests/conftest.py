@@ -1,14 +1,27 @@
 """Shared pytest wiring for the suite.
 
 Adds this directory to sys.path so the oracle module imports the same way
-under any invocation, and prints one PASS/FAIL line per acceptance
-criterion after the run so the gate can be read without scrolling.
+under any invocation, and the checkout's `src` to sys.path and to
+PYTHONPATH (for the commands the tests start) where it is not there
+already, so `python -m pytest` runs from a clean checkout; a run that sets
+PYTHONPATH=src keeps its environment as it is. Prints one PASS/FAIL line
+per acceptance criterion after the run so the gate can be read without
+scrolling.
 """
 
+import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+_TESTS = Path(__file__).resolve().parent
+_SRC = _TESTS.parent / "src"
+
+sys.path.insert(0, str(_TESTS))
+if _SRC not in [Path(p).resolve() for p in sys.path]:
+    sys.path.insert(0, str(_SRC))
+_PYTHONPATH = os.environ.get("PYTHONPATH", "")
+if _SRC not in [Path(p).resolve() for p in _PYTHONPATH.split(os.pathsep) if p]:
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), _PYTHONPATH]))
 
 _MARKER = "test_acceptance.py::test_criterion_"
 

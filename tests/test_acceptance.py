@@ -121,8 +121,8 @@ def test_criterion_4_order_formula_oracle():
         profiles = {}
         for d in smooth_denominators(allowed, 10**5):
             fact = factorize(d)
-            d_primes = set(fact.primes)
-            exps = {p: fact.exponent(p) for p in d_primes}
+            d_primes = set(fact)
+            exps = {p: fact[p] for p in d_primes}
             brute = mult_order_bruteforce(b, d)
             rest = [p for p in allowed if p not in d_primes]
             for bits in range(2 ** len(rest)):
@@ -156,7 +156,7 @@ def test_criterion_5_orbit_set_equality():
         a = rng.randrange(1, d)
         if gcd(a, d) != 1:
             continue
-        profile = build_profile(b, factorize(d).primes)
+        profile = build_profile(b, list(factorize(d)))
         x = Fraction(a, d)
         rec = decompose(profile, x)
         d0, d1 = rec.split.d0, rec.split.d1

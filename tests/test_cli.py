@@ -151,7 +151,7 @@ def _seeded_orbit_cases():
             d = rng.randrange(2, 3000)
             while gcd(d, b) != 1:
                 d = rng.randrange(2, 3000)
-            cases.append((b, f"{rng.randrange(d)}/{d}", sorted(factorize(d).primes)))
+            cases.append((b, f"{rng.randrange(d)}/{d}", list(factorize(d))))
         cases.append((b, "0", [next(p for p in (2, 3, 5, 7) if b % p)]))
     return cases
 
@@ -504,6 +504,45 @@ def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def _run_with_closed_stderr(argv, stdout_too):
+    # stderr, and stdout too when asked, on a pipe closed before any write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "timesb", *argv],
+            stdout=write if stdout_too else subprocess.PIPE, stderr=write,
+            text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+
+
+def test_closed_stderr_loses_progress_not_the_run(capsys):
+    # T >= 1e5 writes a progress line; its broken pipe leaves stdout whole
+    argv = ("count", "--base", "3", "--digits", "0,2", "--max-den", "100000")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err.startswith("counting members")
+    proc = _run_with_closed_stderr(argv, stdout_too=False)
+    assert (proc.returncode, proc.stdout) == (0, out)
+
+
+def test_closed_stderr_keeps_precondition_exit_2():
+    proc = _run_with_closed_stderr(("order", "--base", "1", "--modulus", "7"), False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--base", "3", "--digits", "0,2", "--primes", "2,7,11,13"),
+        ("orbit", "--base", "2", "--frac", "1/177147"),
+    ],
+)
+def test_stdout_and_stderr_on_one_closed_pipe_exit_2(argv):
+    assert _run_with_closed_stderr(argv, stdout_too=True).returncode == 2
 
 
 def test_count_non_symmetric_bytes_match_across_jobs():
@@ -867,9 +906,9 @@ def test_bounds_constants_once_per_den(capsys, monkeypatch, jobs):
     calls = []
     real = bounds._report
 
-    def spy(base, epsilon, a, d, P, rad):
+    def spy(base, epsilon, a, d):
         calls.append(d)
-        return real(base, epsilon, a, d, P, rad)
+        return real(base, epsilon, a, d)
 
     monkeypatch.setattr(bounds, "_report", spy)
     members = _fraction_route_members(ds, T, jobs)

@@ -5,21 +5,17 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timesb.errors import InvariantError, PreconditionError
 from timesb.numtheory import (
-    Factorization,
     _brent_rho,
     factorize,
     group_exponent_factored,
     is_prime,
-    largest_prime,
     mult_order_bruteforce,
     mult_order_fast,
-    radical,
-    unit_group_exponent,
     vp,
 )
 
@@ -44,18 +40,18 @@ def test_is_prime_large():
 
 
 def test_factorize_examples():
-    assert factorize(1).factors == ()
-    assert factorize(2).factors == ((2, 1),)
-    assert factorize(360).factors == ((2, 3), (3, 2), (5, 1))
-    assert factorize(10**6).factors == ((2, 6), (5, 6))
+    assert list(factorize(1).items()) == []
+    assert list(factorize(2).items()) == [(2, 1)]
+    assert list(factorize(360).items()) == [(2, 3), (3, 2), (5, 1)]
+    assert list(factorize(10**6).items()) == [(2, 6), (5, 6)]
     # semiprime beyond the trial division bound
     p, q = 1_000_003, 1_000_033
-    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert list(factorize(p * q).items()) == [(p, 1), (q, 1)]
 
 
 def test_factorize_matches_bruteforce_small():
     for n in range(1, 3000):
-        assert factorize(n).factors == factor_bruteforce(n)
+        assert tuple(factorize(n).items()) == factor_bruteforce(n)
 
 
 @pytest.mark.parametrize(
@@ -73,7 +69,7 @@ def test_factorize_matches_bruteforce_small():
     ],
 )
 def test_factorize_matches_bruteforce(n):
-    assert factorize(n).factors == factor_bruteforce(n)
+    assert tuple(factorize(n).items()) == factor_bruteforce(n)
 
 
 def test_factorize_grows_prime_table_lazily():
@@ -104,29 +100,24 @@ def test_factorize_rejects_nonpositive():
         factorize(-6)
 
 
-def test_factorization_validates():
-    with pytest.raises(PreconditionError):
-        Factorization(value=12, factors=((2, 1), (3, 1)))
-    with pytest.raises(PreconditionError):
-        Factorization(value=12, factors=((3, 1), (2, 2)))
-    with pytest.raises(PreconditionError):
-        Factorization(value=16, factors=((4, 2),))
-
-
 def test_factorization_accessors():
     f = factorize(360)
-    assert f.primes == (2, 3, 5)
-    assert f.exponent(2) == 3
-    assert f.exponent(7) == 0
-    assert dict(f) == {2: 3, 3: 2, 5: 1}
+    assert list(f) == [2, 3, 5]
+    assert f[2] == 3
+    assert f.get(7, 0) == 0
+    assert f == {2: 3, 3: 2, 5: 1}
 
 
 @given(st.integers(min_value=1, max_value=10**9))
+# primes past the trial bound, which Brent's rho splits
+@example(1_000_003 * 1_000_033)
+@example(2 * 999_983 * 1_000_037**2 * 1_000_039)
 def test_factorize_reconstructs(n):
     f = factorize(n)
+    assert list(f) == sorted(f)
     prod = 1
-    for p, e in f:
-        assert is_prime(p)
+    for p, e in f.items():
+        assert is_prime(p) and e >= 1
         prod *= p**e
     assert prod == n
 
@@ -140,22 +131,6 @@ def test_vp_examples():
         vp(0, 2)
     with pytest.raises(PreconditionError):
         vp(10, 4)
-
-
-def test_radical_examples():
-    assert radical(1) == 1
-    assert radical(360) == 30
-    assert radical(1024) == 2
-    with pytest.raises(PreconditionError):
-        radical(0)
-
-
-def test_largest_prime():
-    assert largest_prime(2) == 2
-    assert largest_prime(360) == 5
-    assert largest_prime(97) == 97
-    with pytest.raises(PreconditionError):
-        largest_prime(1)
 
 
 def test_order_bruteforce_examples():
@@ -201,20 +176,19 @@ def test_order_divides_group_exponent(m):
 
 
 def test_unit_group_exponent_examples():
-    assert unit_group_exponent(7, 2) == 42
-    assert unit_group_exponent(3, 1) == 2
-    assert unit_group_exponent(2, 1) == 1
-    assert unit_group_exponent(2, 2) == 2
-    assert unit_group_exponent(2, 5) == 8
-    with pytest.raises(PreconditionError):
-        unit_group_exponent(6, 2)
+    # lambda(p^n) for one prime power, factored
+    assert group_exponent_factored({7: 2}) == {2: 1, 3: 1, 7: 1}  # 42
+    assert group_exponent_factored({3: 1}) == {2: 1}
+    assert group_exponent_factored({2: 1}) == {}
+    assert group_exponent_factored({2: 2}) == {2: 1}
+    assert group_exponent_factored({2: 5}) == {2: 3}
 
 
 @given(st.integers(min_value=1, max_value=8), st.sampled_from([2, 3, 5, 7, 11]))
 @settings(max_examples=60)
 def test_unit_group_exponent_annihilates(n, p):
     m = p**n
-    lam = unit_group_exponent(p, n)
+    lam = math.prod(q**e for q, e in group_exponent_factored({p: n}).items())
     for b in range(1, min(m, 200)):
         if math.gcd(b, m) == 1:
             assert pow(b, lam, m) == 1
@@ -225,3 +199,13 @@ def test_group_exponent_factored_examples():
     lam = group_exponent_factored(factorize(360))
     assert lam == {2: 2, 3: 1}
     assert group_exponent_factored(factorize(1)) == {}
+
+
+def test_group_exponent_equals_lcm_of_brute_orders():
+    # lambda(m) is the lcm of the orders of the units mod m, so a lambda too
+    # large fails here as well as one too small; m runs past 2^7 = 128
+    for m in range(1, 201):
+        lam = group_exponent_factored(factorize(m))
+        units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
+        orders = [mult_order_bruteforce(a, m) for a in units]
+        assert math.prod(q**e for q, e in lam.items()) == math.lcm(*orders), m

@@ -1,4 +1,4 @@
-"""The package's twelve records behave as frozen dataclasses did: built by
+"""The package's eleven records behave as frozen dataclasses did: built by
 position or name, immutable, equal and hash equal field by field within one
 class only, `Name(field=value, ...)` as repr, validated on construction and
 with each cached property computed once."""
@@ -21,7 +21,7 @@ from timesb.cantor import (
     expand,
 )
 from timesb.errors import PreconditionError
-from timesb.numtheory import Factorization, factorize
+from timesb.numtheory import factorize
 from timesb.orbit import OrbitDecomposition, OrbitInfo, decompose, orbit
 from timesb.orders import (
     DenominatorSplit,
@@ -34,7 +34,6 @@ from timesb.orders import (
 # each record as the package builds it; PrimeOrderStats from build_profile
 # carries its hidden p_minus_1
 SAMPLES = {
-    Factorization: lambda: factorize(360),
     PrimeOrderStats: lambda: build_profile(2, [3]).records[0][1],
     OrderProfile: lambda: build_profile(2, [3, 5]),
     DenominatorSplit: lambda: split_denominator(build_profile(2, [3]), 27),
@@ -121,9 +120,6 @@ def test_p_minus_1_is_hidden_from_eq_hash_and_repr():
 @pytest.mark.parametrize(
     "make, match",
     [
-        (lambda: Factorization(6, ((2, 1),)), "factors reconstruct 2, expected 6"),
-        (lambda: Factorization(4, ((4, 1),)), "4 is not prime"),
-        (lambda: Factorization(0, ()), "nonpositive 0"),
         (lambda: PrimeOrderStats(2, 1, 1), "need 1 <= n <= N"),
         (lambda: PrimeOrderStats(1, 1, 0), "order must be positive"),
         (lambda: OrderProfile(1, ()), "base must be >= 2"),
