@@ -38,28 +38,29 @@ largest requested d: a list prime to b builds no level, and no level is
 built for a core no d asks for.  The rows of a requested den are kept, each
 value built once, and the value sort orders them.
 
-A member's witness is its eventually periodic expansion.  For a/d reduced
-the preperiod mu is fixed by the part of d shared with b, and the period is
-the cycle of r -> b*r mod d.  _witness_chunks walks chunks of (num, den)
-int rows in lock-step into one flat digit array with row offsets, where the
-value 1 and the dual of a terminating value are written like any other
-witness; enumerate writes its JSON lines from each chunk's arrays, and
-enumerate_members reads certify's records (num, den, preperiod, period) off
-them.  _witness_digits walks one fraction in plain integers (member and the
-tests' oracles) and gives the same digits.
+A member's witness is an expansion in allowed digits.  For a/d reduced the
+preperiod mu is fixed by the part of d shared with b, and the digits come
+from the walk c, r = divmod(b*r, d) over r in [0, d], d standing for the
+value 1 = 0.(b-1)(b-1)..: a step to r = 0 whose greedy tail c(0) has a bad
+digit takes the dual tail instead, digit c-1 and r = d.  _witness_chunks
+walks chunks of (num, den) int rows by this rule in lock-step into one flat
+digit array with row offsets; enumerate writes its JSON lines from each
+chunk's arrays, and enumerate_members reads certify's records off them.
+_witness_digits walks one fraction by it in plain integers (member, verify).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._record import record
 from .errors import InvariantError, PreconditionError
 from .numtheory import factorize
-from .orbit import _remainder_list, density_bound
+from .orbit import _cycle_start, _remainder_walk, density_bound
 from .orders import OrderProfile
 from .rational import frac_str
 from .sieve import _BUDGET, _by_value, _leaf_members, _orbits, members_up_to
@@ -93,7 +94,7 @@ class DigitSet:
 
     @cached_property
     def _good(self) -> tuple[bool, ...]:
-        table = [False] * self.base
+        table = [False] * (self.base + 1)  # c = base, the value 1's greedy step, is bad
         for d in self.digits:
             table[d] = True
         return tuple(table)
@@ -231,12 +232,11 @@ def expand(base: int, x: Fraction) -> ExpansionInfo:
         raise PreconditionError(f"base must be >= 2, got {base}")
     if x < 0 or x >= 1:
         raise PreconditionError(f"{frac_str(x)} outside [0,1)")
-    den = x.denominator
-    rems, cut = _remainder_list(base, x.numerator, den)
-    digits = [base * r // den for r in rems]
-    return ExpansionInfo(
-        base=base, preperiod=tuple(digits[:cut]), period=tuple(digits[cut:])
-    )
+    num, den = x.numerator, x.denominator
+    rems = chain.from_iterable(_remainder_walk(base, num, den))
+    digits = tuple(base * r // den for r in rems)
+    mu = _cycle_start(base, num, den)[0]
+    return ExpansionInfo(base=base, preperiod=digits[:mu], period=digits[mu:])
 
 
 def dual_expansion(info: ExpansionInfo) -> ExpansionInfo | None:
@@ -256,65 +256,67 @@ def dual_expansion(info: ExpansionInfo) -> ExpansionInfo | None:
 
 
 def _witness_digits(ds: DigitSet, num: int, den: int) -> tuple[list, list] | None:
-    """Preperiod and period of an all-good expansion of num/den in [0, 1]:
-    the greedy one as in expand, else the dual of a terminating value."""
+    """Preperiod and period of an all-good expansion of num/den in [0, 1],
+    or None at the first bad digit: _witness_chunks' walk in plain
+    integers."""
     b, good = ds.base, ds._good
-    if num == den:
-        return ([], [b - 1]) if good[b - 1] else None
-    # a den with a prime outside the base's divides no power of b: then the
-    # greedy expansion is the only one and the walk stops at its first bad digit
-    stop = good if pow(b, den.bit_length(), den) else None
-    rems, cut = _remainder_list(b, num, den, stop)
-    if cut is None:
-        return None
-    digits = [b * r // den for r in rems]
-    if all(good[d] for d in digits):
-        return digits[:cut], digits[cut:]
-    if cut and rems[cut] == 0:  # terminating: the period is (0,)
-        digits[cut - 1] -= 1
-        if good[b - 1] and all(good[d] for d in digits[:cut]):
-            return digits[:cut], [b - 1]
-    return None
+    mu = _cycle_start(b, num, den)[0]
+    digits, r, back = [], num, num
+    while True:
+        c, r = divmod(b * r, den)
+        if r == 0 < c and not (good[c] and good[0]):
+            c, r = c - 1, den  # the dual tail (c-1)(b-1)(b-1)..; den stands for 1
+        if not good[c]:
+            return None
+        digits.append(c)
+        if len(digits) == mu:
+            back = r
+        elif r == back and len(digits) > mu:
+            return digits[:mu], digits[mu:]
 
 
 def _witness_chunks(ds: DigitSet, rows: np.ndarray) -> Iterator[tuple]:
     """The witnesses of every reduced member row (num, den) of int64 rows,
     in row order, a chunk (num, den, digits, off, cut) of rows at a time:
     row i's preperiod is digits[off[i]:cut[i]] and its period
-    digits[cut[i]:off[i + 1]], by _witness_digits over one vectorised walk.
+    digits[cut[i]:off[i + 1]].
 
     The preperiod mu counts the rounds of d //= gcd(d, b) until the gcd is
-    1.  All rows walk r -> b*r mod den in lock-step from r = num, and a row
-    ends when r comes back to r_mu after at least mu + 1 steps (num, in the
-    preperiod when mu >= 1, never comes back): a terminating row ends on
-    period (0).  The digits go to one flat array, each row's preperiod then
-    period, and the value 1, walked by no row, gets one period slot of b-1.
-    A row whose digits are not all good takes the dual of a terminating
-    value over its own slots (last preperiod digit lowered by one, b-1 in
-    the period slot); a row with neither raises InvariantError.  Every
-    caller keeps den <= 2^62/b, so b*r < b*den <= 2^62 stays inside int64.
+    1.  All rows walk c, r = divmod(b*r, den) in lock-step from r = num over
+    remainders in [0, den], den standing for the value 1 = 0.(b-1)(b-1)..;
+    a step to r = 0 whose greedy tail c(0) has a bad digit takes the dual
+    tail instead, digit c-1 and r = den, and the value 1's own step c = b
+    is lowered so too.  A row ends when r comes back to r_mu, taken at step
+    mu, after more than mu steps (num, in the preperiod when mu >= 1, never
+    comes back).  The digits go to one flat array, each row's preperiod
+    then period; a bad digit there means its row has no good expansion, and
+    the first such row raises InvariantError.  Every caller keeps
+    den <= 2^62/b, so b*r <= b*den <= 2^62 stays inside int64.
     """
     import numpy as np
 
     b = ds.base
-    good = np.zeros(b, dtype=bool)
-    good[list(ds.digits)] = True
+    good = np.array(ds._good)
+    keep = good & good[0]  # a step to r = 0 keeps its greedy tail c(0)
+    keep[0] = True  # the value 0 itself
     size = max(1, _BUDGET // 4)
     for start in range(0, len(rows), size):
         num, den = rows[start : start + size].T
         mu, d = np.zeros_like(den), den
-        g = np.gcd(d, b)
-        while (g > 1).any():
+        while ((g := np.gcd(d, b)) > 1).any():
             mu += g > 1
             d = d // g
-            g = np.gcd(d, b)
-        one = num == den  # the value 1, walked by no row, gets one slot
-        length = one.astype(np.int64)
+        length = np.zeros_like(den)
         rounds = []
-        row = np.flatnonzero(~one)
-        r, q, back, m = num[row], den[row], num[row], mu[row]
+        row = np.arange(den.size)
+        r, q, back, m = num, den, num.copy(), mu
         while row.size:
             c, r = np.divmod(b * r, q)
+            z = np.flatnonzero(r == 0)
+            if z.size:
+                z = z[~keep[c[z]]]
+                c[z] -= 1
+                r[z] = q[z]
             rounds.append((row, c))
             end = r == back
             length[row[end]] = len(rounds)
@@ -324,33 +326,18 @@ def _witness_chunks(ds: DigitSet, rows: np.ndarray) -> Iterator[tuple]:
             row, r, q, back, m = row[live], r[live], q[live], back[live], m[live]
         off = np.zeros(den.size + 1, dtype=np.int64)
         np.cumsum(length, out=off[1:])
-        head, cut = off[:-1], off[:-1] + mu
-        flat = np.zeros(off[-1] + 1, dtype=np.int64)  # a spare slot at -1
+        flat = np.empty(off[-1], dtype=np.int64)
         for i, (row, c) in enumerate(rounds):
             flat[off[row] + i] = c
         del rounds  # its digits are all in flat now
-        flat[head[one]] = b - 1
-        bad = np.zeros(flat.size + 1, dtype=np.int64)
-        np.cumsum(~good[flat], out=bad[1:])
-        greedy = bad[off[1:]] == bad[head]
-        # the dual of 0.c1..ck(0) is 0.c1..(ck - 1)(b-1)(b-1)..; ck >= 1 on a
-        # reduced row, and tip = -1 only where mu = 0, which has no dual
-        tip = cut - 1
-        dual = (
-            ~greedy & (d == 1) & (mu >= 1) & good[b - 1]
-            & good[flat[tip] - 1] & (bad[tip] == bad[head])
-        )
-        ok = greedy | dual
+        ok = good[flat]
         if not ok.all():
-            i = int(np.argmin(ok))
+            i = np.searchsorted(off, np.argmin(ok), "right") - 1
             raise InvariantError(
                 f"member {num[i]}/{den[i]} has no expansion "
                 f"in digits {ds.digits}"
             )
-        flat[tip[dual]] -= 1
-        flat[cut[dual]] = b - 1
-        del bad  # not held while the caller reads the chunk
-        yield num, den, flat[:-1], off, cut
+        yield num, den, flat, off, off[:-1] + mu
 
 
 def member_witness(ds: DigitSet, x: Fraction) -> ExpansionInfo | None:

@@ -7,8 +7,8 @@ quantities travel as "a/d" strings; floating point appears only in the
 empirical-constant reports.
 
 Exit codes: 0 success, 2 precondition violation (including argument
-errors), out of memory, a closed stdout or an interrupt, 3 internal
-invariant failure or a dead worker process.
+errors), out of memory, a closed or full stdout, a fork the system refused
+or an interrupt, 3 internal invariant failure or a dead worker process.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ def _emit(obj) -> None:
 
 
 def _progress(msg: str) -> None:
-    """Print msg on stderr. A closed stderr loses the message, not the run:
-    fd 2 then goes to devnull, so no later write or final flush raises."""
+    """Print msg on stderr. A closed or full stderr loses the message, not
+    the run: fd 2 goes to devnull, so no later write or final flush raises."""
     try:
         print(msg, file=sys.stderr, flush=True)
-    except BrokenPipeError:
+    except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
@@ -596,10 +596,18 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # fd 1 goes to devnull, or the interpreter's last flush raises again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _progress("stdout closed before all output was written")
+    except OSError as exc:
+        # a closed or full stdout, or a fork the system refused: if stdout
+        # cannot take what it holds, fd 1 goes to devnull, or the
+        # interpreter's last flush raises again
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            _progress("stdout closed before all output was written")
+        else:
+            _progress(f"system error: {exc}")
         return 2
     except KeyboardInterrupt:
         _progress("interrupted")

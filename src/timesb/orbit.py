@@ -12,11 +12,12 @@ capped-part orbit shifted by multiples of 1/d0), which is what makes the
 effective density bound D work.
 
 One private walk, `_remainder_walk`, serves `orbit`, `decompose` and the
-digit expansions in `timesb.cantor`, and hands its remainders out in lists
-of at most `_BLOCK`; neither command holds its whole text. An orbit is its
-preperiod, from the gcd rule, and its period, from a counting pass round
-the cycle that stores nothing. Its JSON record is written from a
-second walk a block at a time, with one gcd per run of points sharing a
+greedy expansion `timesb.cantor.expand`, knows nothing of digit sets, and
+hands its remainders out in lists of at most `_BLOCK`; neither command
+holds its whole text. An orbit is its preperiod, from the gcd rule, and
+its period, from a counting pass round the cycle that stores nothing. Its
+JSON record is written from a second walk a block at a time, with one gcd
+per run of points sharing a
 reduced denominator (each transient point, then the whole cycle), and that
 pass checks that it wrote preperiod + period points. `decompose` keeps only
 the sorted walk mod d1, bounded by the profile's cap modulus and not by d
@@ -32,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ._record import record
 from .errors import InvariantError, PreconditionError
@@ -61,23 +62,17 @@ def _cycle_start(base: int, num: int, den: int) -> tuple[int, int]:
 _BLOCK = 4096
 
 
-def _remainder_walk(
-    base: int, num: int, den: int, good: Sequence[bool] | None = None
-) -> Iterator[list[int]]:
+def _remainder_walk(base: int, num: int, den: int) -> Iterator[list[int]]:
     """The remainders num, b*num mod den, ... up to the first repeat, for
     0 <= num < den, in first-visit order and in lists of at most _BLOCK:
     the walk ends when r comes back to the cycle's start r_mu after passing
-    it. Given a digit table good, it ends instead before the first
-    remainder r whose digit b*r // den is not good."""
+    it."""
     mu, start = _cycle_start(base, num, den)
     r, done = num, 0
     while True:
         block: list[int] = []
         append = block.append
         for _ in range(_BLOCK):
-            if good is not None and not good[base * r // den]:
-                yield block
-                return
             append(r)
             r = base * r % den
             if r == start and done + len(block) > mu:
@@ -85,18 +80,6 @@ def _remainder_walk(
                 return
         done += _BLOCK
         yield block
-
-
-def _remainder_list(
-    base: int, num: int, den: int, good: Sequence[bool] | None = None
-) -> tuple[list[int], int | None]:
-    """The remainders of _remainder_walk as one list, and the index where
-    the cycle starts (the preperiod), or None if the digit table good ended
-    the walk: it closed only if the step after its last remainder is r_mu."""
-    mu, start = _cycle_start(base, num, den)
-    rems = list(chain.from_iterable(_remainder_walk(base, num, den, good)))
-    closed = len(rems) > mu and base * rems[-1] % den == start
-    return rems, mu if closed else None
 
 
 def _period(base: int, start: int, den: int) -> int:

@@ -153,17 +153,13 @@ def decompose_record_json(
     )
 
 
-def remainder_walk_oracle(base: int, num: int, den: int, good=None):
+def remainder_walk_oracle(base: int, num: int, den: int):
     """Remainders num, b*num mod den, ... up to the first repeat, kept in a
-    dict that finds the repeat, and the index where the cycle starts; with a
-    digit table good, (remainders so far, None) at the first remainder r
-    whose digit b*r // den is not good."""
+    dict that finds the repeat, and the index where the cycle starts."""
     seen: dict[int, int] = {}
     rems: list[int] = []
     r = num
     while r not in seen:
-        if good is not None and not good[base * r // den]:
-            return rems, None
         seen[r] = len(rems)
         rems.append(r)
         r = base * r % den
@@ -173,15 +169,24 @@ def remainder_walk_oracle(base: int, num: int, den: int, good=None):
 def witness_oracle(base: int, digits, x: Fraction):
     """(preperiod, period) digit tuples of an expansion of x in [0, 1] using
     only the given digits, or None: the greedy digits floor(b*y) along the
-    Fraction orbit, else the other expansion of a terminating x."""
+    Fraction orbit, else the other expansion of a terminating x. Any other
+    x has the greedy expansion alone, so its first bad digit ends the walk."""
     good = set(digits)
     if x == 1:
         return ((), (base - 1,)) if base - 1 in good else None
-    points, cut = orbit_oracle(base, x)
-    greedy = [int(base * y) for y in points]
+    alone = coprime_part(x.denominator, base) > 1
+    seen: dict[Fraction, int] = {}
+    greedy: list[int] = []
+    while x not in seen:
+        seen[x] = len(greedy)
+        greedy.append(int(base * x))
+        if alone and greedy[-1] not in good:
+            return None
+        x = (base * x) % 1
+    cut = seen[x]
     if good.issuperset(greedy):
         return tuple(greedy[:cut]), tuple(greedy[cut:])
-    if points[cut] == 0 and cut:
+    if x == 0 and cut:
         head = greedy[:cut - 1] + [greedy[cut - 1] - 1]
         if good.issuperset(head + [base - 1]):
             return tuple(head), (base - 1,)

@@ -578,11 +578,18 @@ def test_triadic_counts_small():
 
 @pytest.mark.parametrize(
     "base, digits",
-    [(3, (0, 2)), (6, (1, 2, 3, 4, 5)), (10, (0, 1, 2, 3, 4, 5, 6, 7, 8)), (4, (0, 3))],
+    [
+        (3, (0, 2)),
+        (6, (1, 2, 3, 4, 5)),
+        (10, (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+        (4, (0, 3)),
+        (5, (1, 3)),
+    ],
 )
 def test_member_witness_matches_oracle(base, digits):
     # every a/d with d <= 80, members and non-members, including the
-    # terminating values whose dual expansion uses a bad digit
+    # terminating values whose dual expansion uses a bad digit; base 5
+    # {1,3} allows neither 0 nor b-1, so no terminating value is a member
     ds = DigitSet(base, digits)
     for d in range(1, 81):
         for a in range(d + 1):

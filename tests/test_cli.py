@@ -506,6 +506,68 @@ def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):
     assert "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one short line, written by main's final flush
+        ("order", "--base", "2", "--modulus", "7"),
+        # about 160 KB, written inside the command
+        ("enumerate", "--base", "3", "--digits", "0,2", "--max-den", "3000"),
+        ("orbit", "--base", "2", "--frac", "1/177147"),
+    ],
+)
+def test_full_stdout_exits_2_without_traceback(argv):
+    # every write to /dev/full fails with ENOSPC, the interpreter's last
+    # flush included
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "timesb", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "No space left" in proc.stderr and "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_stderr_loses_progress_not_the_run(capsys):
+    # T >= 1e5 writes a progress line; its ENOSPC leaves stdout whole
+    argv = ("count", "--base", "3", "--digits", "0,2", "--max-den", "100000")
+    code, out, _ = run_cli(capsys, *argv)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "timesb", *argv],
+            stdout=subprocess.PIPE, stderr=full, text=True, timeout=60,
+        )
+    assert (code, proc.returncode, proc.stdout) == (0, 0, out)
+
+
+def test_refused_fork_exits_2_and_reaps_the_forked(capsys, monkeypatch):
+    # three shares, two forks: the first child is forked, the second fork is
+    # refused, and that child is killed and reaped before main returns
+    real, forked = os.fork, []
+
+    def fork():
+        if forked:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forked.append(real())
+        return forked[-1]
+
+    monkeypatch.setattr(sieve, "_FORK_WORK", 0)
+    monkeypatch.setattr(sieve.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sieve.os, "fork", fork)
+    code, out, err = run_cli(
+        capsys, "count", "--base", "3", "--digits", "0,2", "--max-den", "50",
+        "--jobs", "3",
+    )
+    assert code == 2 and out == "" and len(forked) == 1
+    assert err.splitlines() == ["system error: [Errno 11] Resource temporarily unavailable"]
+    with pytest.raises(ChildProcessError):  # no worker left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _run_with_closed_stderr(argv, stdout_too):
     # stderr, and stdout too when asked, on a pipe closed before any write
     read, write = os.pipe()
@@ -762,12 +824,12 @@ def test_enumerate_writes_earlier_chunks_before_exit_3(capsys, monkeypatch, sour
 
 
 def _scalar_enumerate_stdout(ds, T):
-    # the sieve's rows in value order, each witness from its own scalar walk
+    # the sieve's rows in value order, each witness from the Fraction oracle
     rows = members_up_to(ds.base, ds.digits, T).tolist()
     rows.sort(key=lambda r: Fraction(*r))
     out = []
     for a, d in rows:
-        pre, period = cantor._witness_digits(ds, a, d)
+        pre, period = witness_oracle(ds.base, ds.digits, Fraction(a, d))
         rec = {"num": a, "den": d, "preperiod": pre, "period": period}
         out.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     return "".join(out)
@@ -788,14 +850,15 @@ def test_enumerate_max_den_bytes_match_scalar_witnesses(capsys, base):
 
 
 def _scalar_records(ds, dens):
-    # every reduced a/d over dens tested by its own scalar walk, the members
+    # every reduced a/d over dens tested by the Fraction oracle, the members
     # sorted through Fraction
     found = []
     for d in dens:
         for a in range(d + 1):
-            w = cantor._witness_digits(ds, a, d) if gcd(a, d) == 1 else None
+            x = Fraction(a, d)
+            w = witness_oracle(ds.base, ds.digits, x) if gcd(a, d) == 1 else None
             if w is not None:
-                found.append((Fraction(a, d), w))
+                found.append((x, w))
     found.sort(key=lambda pair: pair[0])
     return [
         {"num": x.numerator, "den": x.denominator, "preperiod": w[0], "period": w[1]}

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from timesb.errors import InvariantError, PreconditionError
 from timesb.numtheory import mult_order_bruteforce
 from timesb.orbit import (
+    _cycle_start,
     _points_json,
-    _remainder_list,
     _remainder_walk,
     decompose,
     density_bound,
@@ -40,15 +40,13 @@ orbit_module = importlib.import_module("timesb.orbit")
 
 @pytest.mark.parametrize("base", range(2, 13))
 def test_remainder_walk_matches_dict_walk(base):
-    # every 0 <= a < d <= 120, a = 0 and non-reduced a included, with no
-    # digit table and with two seeded ones
-    rng = random.Random(0xCAFE + base)
-    tables = [None] + [[rng.random() < 0.7 for _ in range(base)] for _ in range(2)]
+    # every 0 <= a < d <= 120, a = 0 and non-reduced a included: the walk's
+    # remainders, and the gcd rule's preperiod as the cycle's first index
     for d in range(1, 121):
         for a in range(d):
-            for good in tables:
-                want = remainder_walk_oracle(base, a, d, good)
-                assert _remainder_list(base, a, d, good) == want, (a, d, good)
+            rems = list(chain.from_iterable(_remainder_walk(base, a, d)))
+            got = rems, _cycle_start(base, a, d)[0]
+            assert got == remainder_walk_oracle(base, a, d), (a, d)
 
 
 def test_orbit_examples():
@@ -181,8 +179,8 @@ def test_points_json_blocks():
 def _inner_walk_shifted(real):
     # the walk mod d1 = 3 (not the walk of x over 3^9) with every remainder
     # moved on by one
-    def walk(base, num, den, good=None):
-        for block in real(base, num, den, good):
+    def walk(base, num, den):
+        for block in real(base, num, den):
             yield block if den == 3**9 else [(r + 1) % den for r in block]
 
     return walk
@@ -191,8 +189,8 @@ def _inner_walk_shifted(real):
 def _largest_remainder_raised(real):
     # the walk over 3^9 with its largest remainder moved on by one: the same
     # length, and one point outside A2
-    def walk(base, num, den, good=None):
-        rems = list(chain.from_iterable(real(base, num, den, good)))
+    def walk(base, num, den):
+        rems = list(chain.from_iterable(real(base, num, den)))
         if den == 3**9:
             rems[rems.index(max(rems))] += 1
         yield rems
@@ -203,8 +201,8 @@ def _largest_remainder_raised(real):
 def _point_repeated(real):
     # the walk over 3^9 with its last remainder replaced by its first: the
     # same length, one point of A2 taken twice and another not at all
-    def walk(base, num, den, good=None):
-        rems = list(chain.from_iterable(real(base, num, den, good)))
+    def walk(base, num, den):
+        rems = list(chain.from_iterable(real(base, num, den)))
         if den == 3**9:
             rems[-1] = rems[0]
         yield rems
